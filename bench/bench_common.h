@@ -63,17 +63,13 @@ inline core::MinFloodSearchOptions bench_search_options() {
 }
 
 // Sweep runner honouring --jobs N / $BARB_JOBS (default 1 = exact serial
-// path), seeded from the measurement options' base seed. When the parallel
-// DES engine is on (BARB_DES_SHARDS > 1) each point runs K shard threads, so
-// the sweep pool shrinks to keep --jobs the total thread budget; artifacts
-// are byte-identical across every (jobs, shards) combination.
+// path), seeded from the measurement options' base seed. Artifacts are
+// byte-identical at every worker count.
 inline core::SweepRunner make_runner(int argc, char** argv,
                                      const core::MeasurementOptions& opt) {
   core::SweepRunner::Options ro;
   ro.jobs = core::jobs_from_cli(argc, argv);
   ro.base_seed = opt.seed;
-  const int shards = core::des_shards_from_env();
-  ro.threads_per_point = shards > 1 ? shards : 1;
   return core::SweepRunner(ro);
 }
 
@@ -99,20 +95,24 @@ std::vector<R> run_sweep(core::SweepRunner& runner, const char* label,
 }
 
 // Writes a table's CSV to <dir>/<name>.csv, where <dir> is
-// $BARB_BENCH_CSV_DIR if set, else $BARB_BENCH_OUT, else ".".
+// $BARB_BENCH_CSV_DIR if set, else $BARB_BENCH_OUT, else ".". Exits the
+// process with status 1 if the file cannot be written.
 inline void maybe_write_csv(const char* name, const core::TextTable& table) {
   const char* csv_dir = std::getenv("BARB_BENCH_CSV_DIR");
   const std::string dir =
       (csv_dir != nullptr && csv_dir[0] != '\0') ? csv_dir : out_dir();
   const std::string path = dir + "/" + name + ".csv";
   std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", path.c_str());
-    return;
+  bool ok = f != nullptr;
+  if (ok) {
+    const std::string csv = table.to_csv();
+    ok = std::fwrite(csv.data(), 1, csv.size(), f) == csv.size();
+    ok = std::fclose(f) == 0 && ok;
   }
-  const std::string csv = table.to_csv();
-  std::fwrite(csv.data(), 1, csv.size(), f);
-  std::fclose(f);
+  if (!ok) {
+    std::fprintf(stderr, "cannot write %s\n", path.c_str());
+    std::exit(1);
+  }
   std::printf("(csv written to %s)\n", path.c_str());
 }
 
@@ -145,13 +145,14 @@ inline void add_table_points(telemetry::BenchArtifact& artifact,
   }
 }
 
-// Writes BENCH_<figure>.json into $BARB_BENCH_OUT (default ".").
+// Writes BENCH_<figure>.json into $BARB_BENCH_OUT (default "."). Exits the
+// process with status 1 if the file cannot be written.
 inline void write_artifact(const telemetry::BenchArtifact& artifact) {
   const std::string path = artifact.write_to(out_dir());
   if (path.empty()) {
     std::fprintf(stderr, "cannot write %s to %s\n", artifact.filename().c_str(),
                  out_dir().c_str());
-    return;
+    std::exit(1);
   }
   std::printf("(bench artifact written to %s)\n", path.c_str());
 }

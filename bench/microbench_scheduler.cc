@@ -3,26 +3,25 @@
 // Drives a scheduler-shaped workload — hundreds of concurrent self-
 // rescheduling event chains with mixed horizons, plus churning far-future
 // timers that get cancelled before firing (TCP-retransmit style) — through
-// three engines:
+// two engines:
 //
 //   legacy : a faithful in-file replica of the pre-overhaul scheduler
 //            (std::function callbacks, one make_shared<bool> cancellation
 //            flag per event, binary heap) — the baseline the overhaul is
 //            measured against;
-//   heap   : the new engine's binary-heap backend (BARB_SCHED=heap), which
-//            already uses slab records and InlineCallback;
-//   wheel  : the hierarchical timing wheel (default backend).
+//   heap   : the event engine (sim::Scheduler): slab-pooled records and
+//            InlineCallback over a binary heap.
 //
 // Callbacks carry a 40-byte capture, matching the simulator's real frame-
 // delivery closures (packet handle + endpoint context): big enough that
 // std::function heap-allocates it, small enough that InlineCallback stores
 // it inline. The binary's global operator new/delete count every heap
 // allocation, so the steady-state measurement window can assert *zero*
-// allocations per scheduled event on the new engine.
+// allocations per scheduled event on the engine.
 //
 // Gates (the bench exits nonzero, so the ctest run is a regression gate):
-//   wheel events/sec >= 2x legacy events/sec
-//   wheel steady-state allocations per event == 0
+//   engine events/sec >= 2x legacy events/sec
+//   engine steady-state allocations per event == 0
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
@@ -128,9 +127,8 @@ class LegacyScheduler {
 
 // ---------------------------------------------------------------------------
 // Workload: kChains self-rescheduling chains with per-chain xorshift delays
-// spanning every wheel level, plus a far-future cancelled-before-firing
-// timer per chain (overflow tombstone churn). Identical event sequence on
-// every engine.
+// of mixed horizons, plus a far-future cancelled-before-firing timer per
+// chain (tombstone churn). Identical event sequence on every engine.
 
 constexpr std::uint32_t kChains = 256;
 
@@ -174,8 +172,7 @@ class Workload {
     ch.rng ^= ch.rng << 13;
     ch.rng ^= ch.rng >> 7;
     ch.rng ^= ch.rng << 17;
-    // Mixed horizons: mostly sub-slot to mid-wheel, occasionally a level-3
-    // hop, so dispatch exercises cascades and cursor jumps.
+    // Mixed horizons: mostly under 4 us, occasionally a ~1 ms hop.
     const std::uint64_t r = ch.rng;
     Duration delay = Duration::nanoseconds(static_cast<std::int64_t>(r % 4096));
     if ((r & 0xf) == 0) {
@@ -192,7 +189,7 @@ class Workload {
     Chain& ch = chains_[c];
     ++ch.fires;
     // Retransmit-timer churn: replace this chain's pending far-future timer
-    // (overflow horizon) with a fresh one; the old one never fires.
+    // with a fresh one; the old one never fires.
     if ((ch.fires & 63) == 0) {
       timers_[c].cancel();
       Payload p{this, c, {}};
@@ -246,8 +243,8 @@ int main() {
   artifact.set_meta("chains", static_cast<double>(kChains));
 
   // The warmup must carry every structure past its steady-state high-water
-  // mark (slab chunks, overflow heap capacity, tombstone peak) so that the
-  // measured window can assert exactly zero allocations.
+  // mark (slab chunks, heap capacity, tombstone peak) so that the measured
+  // window can assert exactly zero allocations.
   const std::uint64_t warmup = 1'000'000;
   const std::uint64_t measured = bench::fast_mode() ? 1'000'000 : 4'000'000;
 
@@ -255,77 +252,41 @@ int main() {
   const RunResult legacy_r =
       run_bench<LegacyScheduler, LegacyHandle>(legacy, warmup, measured);
 
-  sim::Scheduler heap(sim::Scheduler::Backend::kHeap);
+  sim::Scheduler heap;
   const RunResult heap_r =
       run_bench<sim::Scheduler, sim::EventHandle>(heap, warmup, measured);
 
-  sim::Scheduler wheel(sim::Scheduler::Backend::kWheel);
-  const RunResult wheel_r =
-      run_bench<sim::Scheduler, sim::EventHandle>(wheel, warmup, measured);
-
   const double speedup =
-      legacy_r.events_per_sec > 0 ? wheel_r.events_per_sec / legacy_r.events_per_sec
+      legacy_r.events_per_sec > 0 ? heap_r.events_per_sec / legacy_r.events_per_sec
                                   : 0;
-
-  // Per-slot occupancy of the wheel after the measured window (the chains
-  // and far-future timers are still pending). This is the serial baseline
-  // for shard load-imbalance investigations: a heavily skewed level means
-  // a time-sliced partition would idle most shards. Reported only in this
-  // micro-bench's own artifact — never in figure timelines.
-  TextTable slot_table({"Level", "occupied", "records", "max/slot", "mean/occ"});
-  for (int level = 0; level < sim::Scheduler::kLevels; ++level) {
-    const auto hist = wheel.slot_histogram(level);
-    std::size_t occupied = 0, records = 0, max_slot = 0;
-    for (unsigned s = 0; s < sim::Scheduler::kSlots; ++s) {
-      if (hist[s] == 0) continue;
-      ++occupied;
-      records += hist[s];
-      max_slot = std::max(max_slot, hist[s]);
-      artifact.add_point("slot_occupancy_l" + std::to_string(level),
-                         static_cast<double>(s), static_cast<double>(hist[s]));
-    }
-    const double mean =
-        occupied > 0 ? static_cast<double>(records) / static_cast<double>(occupied)
-                     : 0.0;
-    slot_table.add_row({std::to_string(level), fmt_int(static_cast<double>(occupied)),
-                        fmt_int(static_cast<double>(records)),
-                        fmt_int(static_cast<double>(max_slot)), fmt(mean)});
-    artifact.add_point("slot_records_l" + std::to_string(level), 0,
-                       static_cast<double>(records));
-  }
 
   TextTable table({"Engine", "events/s", "allocs/event"});
   table.add_row({"legacy heap (shared_ptr+std::function)",
                  fmt_int(legacy_r.events_per_sec), fmt(legacy_r.allocs_per_event)});
-  table.add_row({"slab heap (BARB_SCHED=heap)", fmt_int(heap_r.events_per_sec),
+  table.add_row({"slab heap (sim::Scheduler)", fmt_int(heap_r.events_per_sec),
                  fmt(heap_r.allocs_per_event)});
-  table.add_row({"timing wheel (default)", fmt_int(wheel_r.events_per_sec),
-                 fmt(wheel_r.allocs_per_event)});
   std::printf("%s\n", table.to_string().c_str());
-  std::printf("wheel vs legacy speedup: %.2fx\n\n", speedup);
-  std::printf("wheel per-slot occupancy (pending events after measured window):\n");
-  std::printf("%s\n", slot_table.to_string().c_str());
+  std::printf("engine vs legacy speedup: %.2fx\n\n", speedup);
   bench::maybe_write_csv("microbench_scheduler", table);
 
   artifact.add_point("events_per_sec_legacy", 0, legacy_r.events_per_sec);
   artifact.add_point("events_per_sec_heap", 0, heap_r.events_per_sec);
-  artifact.add_point("events_per_sec_wheel", 0, wheel_r.events_per_sec);
   artifact.add_point("speedup_vs_legacy", 0, speedup);
   artifact.add_point("allocs_per_event_legacy", 0, legacy_r.allocs_per_event);
-  artifact.add_point("allocs_per_event_wheel", 0, wheel_r.allocs_per_event);
+  artifact.add_point("allocs_per_event_heap", 0, heap_r.allocs_per_event);
   bench::write_artifact(artifact);
 
   bool ok = true;
   if (speedup < 2.0) {
-    std::fprintf(stderr, "FAIL: wheel speedup %.2fx < 2.0x over legacy engine\n",
+    std::fprintf(stderr, "FAIL: engine speedup %.2fx < 2.0x over legacy engine\n",
                  speedup);
     ok = false;
   }
-  if (wheel_r.allocs_per_event != 0.0) {
+  if (heap_r.allocs_per_event != 0.0) {
     std::fprintf(stderr,
-                 "FAIL: wheel performed %.6f heap allocations per steady-state "
+                 "FAIL: engine performed %.6f heap allocations per steady-state "
                  "event (want exactly 0)\n",
-                 wheel_r.allocs_per_event);
+                 heap_r.allocs_per_event);
     ok = false;
   }
   if (!ok) return 1;

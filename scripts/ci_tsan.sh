@@ -10,12 +10,6 @@
 # FIBs) and drives batched-link simulations on a pool thread, proving the
 # fleet-scale path is shared-nothing too.
 #
-# The sharded DES engine runs last: fleet_goodput and the fuzzer's
-# shard-identity oracle under BARB_DES_SHARDS=4, plus the parallel-engine
-# unit tests — TSan checks the horizon/mailbox protocol itself (release
-# horizon stores vs acquire bound reads, SPSC ring indices, park/wake
-# handshakes) on real cross-shard traffic.
-#
 # Usage: scripts/ci_tsan.sh [build-dir]   (default: build-tsan)
 set -euo pipefail
 
@@ -27,18 +21,10 @@ export TSAN_OPTIONS="halt_on_error=1:second_deadlock_stack=1"
 cmake -B "$BUILD_DIR" -S . -DTSAN=ON
 cmake --build "$BUILD_DIR" -j "$(nproc)" \
   --target core_sweep_runner_test net_buffer_pool_stress_test \
-  firewall_classifier_test firewall_flow_cache_test fleet_goodput \
-  sim_parallel_engine_test fuzz_main
+  firewall_classifier_test firewall_flow_cache_test fleet_goodput fuzz_main
 ctest --test-dir "$BUILD_DIR" --output-on-failure \
   -R 'SweepRunner|DerivePointSeed|ResolveJobs|JobsFromCli|BufferPoolThreading|CompiledClassifier|FlowCache'
 BARB_BENCH_FAST=1 "$BUILD_DIR"/bench/fleet_goodput --jobs 4
-
-# Conservative parallel DES engine under TSan: unit suite, the fleet bench
-# with the engine attached (4 shard workers per point), and fuzzer seeds
-# whose fabric family replays every scenario serial vs sharded.
-"$BUILD_DIR"/tests/sim_parallel_engine_test
-BARB_BENCH_FAST=1 BARB_DES_SHARDS=4 "$BUILD_DIR"/bench/fleet_goodput
-BARB_DES_SHARDS=4 "$BUILD_DIR"/tests/fuzz_main --seeds 5
 
 # Policy-family seeds at --jobs 4: corpus generation, the pairwise analyzer,
 # and the compiled/flow-cache oracle all run on pool threads — TSan proves

@@ -25,10 +25,6 @@ BufferPool::~BufferPool() {
   // test-local pools are destroyed after their packets.
 }
 
-namespace {
-thread_local BufferPool* tls_pool_override = nullptr;
-}  // namespace
-
 BufferPool& BufferPool::instance() {
   // Thread-local, not process-global: the parallel sweep runner
   // (core/runner.h) executes independent simulations on worker threads, and
@@ -36,17 +32,9 @@ BufferPool& BufferPool::instance() {
   // race. Each worker gets its own pool; buffers never migrate between
   // threads because a simulation (and everything it allocates) lives and
   // dies on the thread that runs it. Within one thread the zero-copy flood
-  // path is exactly as allocation-free as before. Shard worker threads of
-  // the parallel engine install an override pointing at a persistent
-  // per-shard pool (they are re-spawned per run segment, so the raw
-  // thread_local would die with them while frames it allocated live on).
-  if (tls_pool_override != nullptr) return *tls_pool_override;
+  // path is exactly as allocation-free as before.
   thread_local BufferPool pool;
   return pool;
-}
-
-void BufferPool::set_thread_pool_override(BufferPool* pool) {
-  tls_pool_override = pool;
 }
 
 int BufferPool::class_for(std::size_t n) {

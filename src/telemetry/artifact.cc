@@ -74,8 +74,8 @@ std::string BenchArtifact::write_to(const std::string& dir) const {
   const std::string json = to_json();
   const std::size_t written = std::fwrite(json.data(), 1, json.size(), f);
   const bool nl_ok = std::fputc('\n', f) != EOF;
-  std::fclose(f);
-  if (written != json.size() || !nl_ok) return "";
+  const bool closed = std::fclose(f) == 0;
+  if (written != json.size() || !nl_ok || !closed) return "";
   return path;
 }
 

@@ -1,10 +1,10 @@
 // Log-linear histogram: power-of-two major buckets, each split into eight
 // linear sub-buckets (HdrHistogram's layout in miniature).
 //
-// This generalizes util/histogram.h's pure power-of-two LatencyHistogram:
-// constant memory (496 buckets covers the full uint64 range), but relative
-// error within a bucket is bounded by 1/8 instead of 2x, which makes the
-// reported quantiles usable for regression tracking. Values are unitless;
+// Constant memory (496 buckets covers the full uint64 range), and relative
+// error within a bucket is bounded by 1/8 (a pure power-of-two layout would
+// allow 2x), which makes the reported quantiles usable for regression
+// tracking. Values are unitless;
 // the metric name carries the unit (rule of the house: "_ns", "_bytes").
 #pragma once
 

@@ -23,13 +23,8 @@ void TimeSeriesProbe::start() {
   if (running_) return;
   running_ = true;
   sample();
-  // One slab record carries the whole recurrence; stop() cancels it. Pinned
-  // to the global control scheduler: with a parallel engine attached the
-  // sample callback reads cross-shard state (link counters, pool gauges), so
-  // it must run between shard segments at global quiescence — which the
-  // engine guarantees for control-scheduler events. Serial runs are
-  // unaffected (schedule_every_global == schedule_every there).
-  next_ = sim_.schedule_every_global(interval_, [this] { sample(); });
+  // One slab record carries the whole recurrence; stop() cancels it.
+  next_ = sim_.schedule_every(interval_, [this] { sample(); });
 }
 
 void TimeSeriesProbe::stop() {

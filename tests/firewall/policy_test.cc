@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+#include <string>
+
 namespace barb::firewall {
 namespace {
 
@@ -82,6 +85,18 @@ struct BadPolicyCase {
   const char* text;
   int error_line;
 };
+
+// gtest's default printer dumps the struct's bytes, text pointer included,
+// and the ctest names are built from that, so they changed with every build.
+// Print the expected line and the text (newlines as " / ") instead.
+void PrintTo(const BadPolicyCase& c, std::ostream* os) {
+  std::string text(c.text);
+  if (!text.empty() && text.back() == '\n') text.pop_back();
+  for (auto at = text.find('\n'); at != std::string::npos; at = text.find('\n', at)) {
+    text.replace(at, 1, " / ");
+  }
+  *os << "line " << c.error_line << ", " << text;
+}
 
 class PolicyParserErrors : public ::testing::TestWithParam<BadPolicyCase> {};
 

@@ -19,7 +19,6 @@
 #include "firewall/rule_set.h"
 #include "link/fault_injector.h"
 #include "link/link.h"
-#include "link/sharded_domain.h"
 #include "link/tracer.h"
 #include "net/packet_builder.h"
 #include "net/vpg_header.h"
@@ -891,9 +890,7 @@ constexpr double kQuiescenceCapSeconds = 3600.0;
 
 void run_to_quiescence(sim::Simulation& sim, Failures fail) {
   sim.run_until(sim::TimePoint() + sim::Duration::from_seconds(kQuiescenceCapSeconds));
-  // queues_empty() covers the parallel engine's shard queues and mailboxes
-  // too; for a serial simulation it is exactly scheduler().empty().
-  if (!sim.queues_empty()) {
+  if (!sim.scheduler().empty()) {
     fail("quiescence: event queue still busy after " +
          std::to_string(static_cast<int>(kQuiescenceCapSeconds)) +
          " simulated seconds");
@@ -1152,8 +1149,8 @@ std::unique_ptr<core::Fabric> build_fabric(sim::Simulation& sim,
   return fabric;
 }
 
-// One engine's observable outcome, for the batched-vs-per-frame and
-// serial-vs-sharded comparisons.
+// One link engine's observable outcome, for the batched-vs-per-frame
+// comparison.
 struct FabricRun {
   std::vector<std::size_t> received;  // per transfer
   std::vector<bool> complete;
@@ -1163,25 +1160,12 @@ struct FabricRun {
   std::uint64_t nic_rx_dropped = 0;
 };
 
-// `shards` == 0 runs the exact serial engine; > 1 attaches the parallel DES
-// engine (kHostsHome partition, so every host-side RNG draw stays on the
-// home shard) and must reproduce the serial outcome bit-for-bit.
 FabricRun run_fabric_once(const FabricScenario& s, std::uint64_t seed,
-                          bool batched, int shards,
-                          std::vector<std::string>* failures,
+                          bool batched, std::vector<std::string>* failures,
                           std::string* trace_tail, const FuzzOptions& options) {
   Failures fail{failures};
   sim::Simulation sim(seed);
-  // Declared before `fabric` so the domain (and its shard schedulers)
-  // outlives the links and hosts, whose destructors cancel EventHandles
-  // living on those schedulers.
-  std::unique_ptr<link::ShardedLinkDomain> domain;
   auto fabric = build_fabric(sim, s, batched);
-  if (shards > 1) {
-    domain = core::make_sharded_domain(
-        *fabric,
-        core::partition_fabric(*fabric, shards, core::ShardPartition::kHostsHome));
-  }
 
   if (!fabric->all_hosts_routed()) {
     fail("fabric: a switch is missing a preloaded route to some host (" +
@@ -1247,8 +1231,7 @@ FabricRun run_fabric_once(const FabricScenario& s, std::uint64_t seed,
   return out;
 }
 
-// Compares two engines' observable outcomes field by field. Used for both
-// identity oracles (batched-vs-per-frame and serial-vs-sharded): same
+// Compares two link engines' observable outcomes field by field: same
 // transfer byte counts and completions (content is covered by the receiver's
 // per-byte mismatch oracle inside each run), same access-link frame counts,
 // same summed NIC verdicts.
@@ -1288,26 +1271,14 @@ void run_fabric_scenario(const FabricScenario& s, std::uint64_t seed,
                          std::string* trace_tail, const FuzzOptions& options) {
   Failures fail{failures};
   const FabricRun batched = run_fabric_once(s, seed, /*batched=*/true,
-                                            /*shards=*/0, failures, trace_tail,
-                                            options);
+                                            failures, trace_tail, options);
   const FabricRun per_frame = run_fabric_once(s, seed, /*batched=*/false,
-                                              /*shards=*/0, failures,
-                                              trace_tail, options);
+                                              failures, trace_tail, options);
 
   // The batched engine is an optimization, not a model change: same frames,
   // same bytes, same completions.
   check_run_identity(batched, per_frame, "batched-identity", "batched",
                      "per-frame", fail);
-
-  // Shard-identity oracle: the same scenario under the conservative parallel
-  // engine (K from BARB_DES_SHARDS, else 2) must reproduce the serial batched
-  // run exactly. Draws from no new streams — the scenario is reused as-is.
-  const int env_shards = core::des_shards_from_env();
-  const int shards = env_shards > 1 ? env_shards : 2;
-  const FabricRun sharded = run_fabric_once(s, seed, /*batched=*/true, shards,
-                                            failures, trace_tail, options);
-  check_run_identity(batched, sharded, "shard-identity", "serial", "sharded",
-                     fail);
 }
 
 std::string fabric_summary(const FabricScenario& s) {

@@ -2,9 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include "util/histogram.h"
-#include "util/rate_estimator.h"
-
 namespace barb {
 namespace {
 
@@ -69,43 +66,6 @@ TEST_P(TokenBucketPacing, LongRunRateMatchesConfiguredRate) {
 
 INSTANTIATE_TEST_SUITE_P(Rates, TokenBucketPacing,
                          ::testing::Values(10.0, 1000.0, 45000.0, 148810.0));
-
-TEST(WindowCounter, AveragesOverWindow) {
-  WindowCounter wc;
-  wc.start(TimePoint::origin());
-  wc.add(500);
-  wc.add(500);
-  const double rate = wc.stop(TimePoint::origin() + Duration::seconds(2));
-  EXPECT_DOUBLE_EQ(rate, 500.0);
-}
-
-TEST(WindowCounter, IgnoresAddsOutsideWindow) {
-  WindowCounter wc;
-  wc.add(100);  // before start
-  wc.start(TimePoint::origin());
-  wc.add(100);
-  (void)wc.stop(TimePoint::origin() + Duration::seconds(1));
-  wc.add(100);  // after stop
-  EXPECT_EQ(wc.total(), 100u);
-}
-
-TEST(LatencyHistogram, MeanAndPercentileBracketSamples) {
-  LatencyHistogram h;
-  for (int i = 0; i < 100; ++i) h.add(Duration::microseconds(100));
-  EXPECT_EQ(h.total(), 100u);
-  EXPECT_NEAR(h.mean_ms(), 0.1, 1e-9);
-  const auto p99 = h.percentile_upper_ns(99);
-  EXPECT_GE(p99, 100'000);
-  EXPECT_LE(p99, 200'000);  // one power-of-two bucket wide
-}
-
-TEST(LatencyHistogram, ClearResets) {
-  LatencyHistogram h;
-  h.add(Duration::milliseconds(5));
-  h.clear();
-  EXPECT_EQ(h.total(), 0u);
-  EXPECT_DOUBLE_EQ(h.mean_ms(), 0.0);
-}
 
 }  // namespace
 }  // namespace barb
