@@ -27,6 +27,9 @@ echo "=== fuzz under ASan/UBSan: ${SEEDS} seeds from ${BASE} ==="
 cmake -B build-asan -S . -DASAN=ON
 cmake --build build-asan -j "$(nproc)" --target fuzz_main
 build-asan/tests/fuzz_main --seeds "$SEEDS" --base "$BASE"
+echo "=== link-fault regression corpus under ASan/UBSan ==="
+build-asan/tests/fuzz_main --family legacy \
+  --seed-file tests/data/fault_fuzz_seeds.txt
 
 echo "=== policy family under ASan/UBSan: ${SEEDS} seeds + regression corpus ==="
 # Realistic policy corpora (generator -> analyzer ground truth -> three-way

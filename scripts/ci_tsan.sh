@@ -7,8 +7,8 @@
 # them on pool threads — TSan proves they really are shared-nothing).
 # The fleet bench then runs at --jobs 4: each sweep task builds a full
 # multi-switch fabric (TopologyBuilder, shared AddressDirectory, bounded
-# FIBs) and drives batched-link simulations on a pool thread, proving the
-# fleet-scale path is shared-nothing too.
+# FIBs) and drives its simulation on a pool thread, proving the fleet-scale
+# path is shared-nothing too.
 #
 # Usage: scripts/ci_tsan.sh [build-dir]   (default: build-tsan)
 set -euo pipefail

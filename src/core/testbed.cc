@@ -93,7 +93,6 @@ void Testbed::build_hosts() {
   // than the real testbed did.
   link::LinkConfig link_cfg;
   link_cfg.queue_bytes = 768 * 1024;
-  link_cfg.batched = link::batch_delivery_enabled(config_.batched_links);
 
   TopologyBuilder builder(sim_);
   // The preset keeps the legacy full-mesh ARP installation and the default

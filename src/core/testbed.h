@@ -63,10 +63,6 @@ struct TestbedConfig {
   // draws, byte-identical figure artifacts.
   std::optional<link::FaultProfile> fault_profile;
   bool fault_policy_link = false;
-  // Batched link delivery (see link/link.h). Off by default — the per-frame
-  // engine is the calibrated original; the BARB_LINK_BATCH env var overrides
-  // either way for the byte-identity gate.
-  bool batched_links = false;
   std::uint64_t seed = 1;
 };
 

@@ -205,14 +205,15 @@ struct LeafSpineSpec {
   // Access links model the testbed's deep-buffered 100 Mbps edge; trunks are
   // 1 Gbps with proportionally deeper queues.
   link::LinkConfig access_link{100e6, sim::Duration::nanoseconds(500),
-                               768 * 1024, true};
+                               768 * 1024};
   link::LinkConfig trunk_link{1e9, sim::Duration::microseconds(1),
-                              4 * 768 * 1024, true};
+                              4 * 768 * 1024};
   // Per-host NIC profile applied to every host (benches override per index
   // via `nic_for`, e.g. plain NICs for designated attackers).
   NicSpec default_nic;
   std::function<NicSpec(int host_index)> nic_for;  // optional override
-  // Batched link delivery by default (BARB_LINK_BATCH overrides).
+  // Ignored: every link runs the one delivery engine (link/link.h). Kept
+  // only because perfbench/driver.cc still assigns it.
   bool batched_links = true;
   std::string name_prefix = "h";
 };
@@ -224,12 +225,11 @@ struct CampusTreeSpec {
   int hosts = 64;
   int hosts_per_edge = 16;  // fanout of each edge switch
   link::LinkConfig access_link{100e6, sim::Duration::nanoseconds(500),
-                               768 * 1024, true};
+                               768 * 1024};
   link::LinkConfig uplink{1e9, sim::Duration::microseconds(1),
-                          4 * 768 * 1024, true};
+                          4 * 768 * 1024};
   NicSpec default_nic;
   std::function<NicSpec(int host_index)> nic_for;
-  bool batched_links = true;
   std::string name_prefix = "h";
 };
 

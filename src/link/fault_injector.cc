@@ -5,8 +5,7 @@
 
 namespace barb::link {
 
-void FaultInjector::on_wire_transit(LinkPort& port, net::Packet pkt,
-                                    sim::Duration base_delay) {
+void FaultInjector::on_wire_transit(LinkPort& port, net::Packet pkt) {
   ++stats_.frames;
 
   // Loss decisions first: a lost frame consumes no further draws, keeping
@@ -40,7 +39,7 @@ void FaultInjector::on_wire_transit(LinkPort& port, net::Packet pkt,
     pkt = net::Packet{std::move(bytes), pkt.created, pkt.id};
   }
 
-  sim::Duration delay = base_delay;
+  sim::Duration delay;
   if (profile_.jitter_max > sim::Duration()) {
     const auto extra = sim::Duration::nanoseconds(static_cast<std::int64_t>(
         rng_.uniform_real() * static_cast<double>(profile_.jitter_max.ns())));

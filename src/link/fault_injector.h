@@ -84,10 +84,11 @@ class FaultInjector {
   const FaultInjectorStats& stats() const { return stats_; }
   bool in_burst_state() const { return ge_bad_; }
 
-  // Called by LinkPort for every frame leaving the serializer; `base_delay`
-  // is serialization + propagation. Decides the frame's fate and schedules
-  // zero, one, or two deliveries on the port's peer.
-  void on_wire_transit(LinkPort& port, net::Packet pkt, sim::Duration base_delay);
+  // Called by LinkPort for every frame it serialized, at the instant the
+  // frame would reach the peer unperturbed (serialization end +
+  // propagation), in wire order. Decides the frame's fate and schedules
+  // zero, one, or two deliveries on the port's peer relative to now.
+  void on_wire_transit(LinkPort& port, net::Packet pkt);
 
   // Registers "fault.*" counters under the given label set (conventionally
   // the owning port's "link=<name>,side=<side>" labels).

@@ -7,19 +7,20 @@
 // the switch side of a link is exactly the switch egress queue, which is what
 // couples a flood to legitimate traffic in the paper's no-firewall baseline.
 //
-// Delivery engines. The classic per-frame engine costs two scheduler events
-// per frame (delivery + transmitter-free), and every queued frame holds a
-// pending event — at fleet scale that is the dominant scheduler load. The
-// batched engine replays the identical timeline from a virtual serialization
-// clock: send() computes each frame's serialization window and delivery time
-// arithmetically, frames wait in a per-port delivery queue, and ONE armed
-// timer per port direction delivers the head and re-arms for the next. TX
-// accounting is applied lazily (advance-on-read) so sampled metrics see the
-// same values at the same instants; the pending-event population drops from
-// O(frames in flight) to O(port directions) and the transmitter-free events
-// vanish. Ports with a fault injector always take the per-frame path: the
-// injector draws RNG at serialization start, and only the per-frame engine
-// executes an event there.
+// Delivery. Each port keeps a virtual serialization clock: send() computes a
+// frame's serialization window and delivery time arithmetically, frames wait
+// in a per-port FIFO, and ONE armed timer per port direction delivers the
+// head and re-arms for the next. A frame costs one scheduler event (its
+// delivery); freeing the transmitter costs none. TX accounting is applied
+// lazily (advance-on-read), so stats and queue gauges sampled at any instant
+// see exactly the frames whose serialization has started by then.
+//
+// Faults. A port with a FaultInjector runs the same engine: a frame leaves
+// the FIFO at its unperturbed delivery time (serialization end +
+// propagation) and goes to the injector instead of the peer's sink; the
+// injector delivers it zero, one, or two times relative to that instant.
+// Frames leave the FIFO in serialization order, so the injector's own RNG
+// stream sees them in wire order.
 #pragma once
 
 #include <cstdint>
@@ -41,16 +42,7 @@ struct LinkConfig {
   // byte accounting matters under flood: minimum-size attack frames are ~25x
   // cheaper to queue than full-size data frames).
   std::size_t queue_bytes = 150 * 1024;
-  // Selects the batched delivery engine for both ports of this link. The
-  // timeline is identical either way (gated byte-identical on the paper
-  // figures); batched is the default for fleet fabrics, per-frame for the
-  // 4-host testbed preset.
-  bool batched = false;
 };
-
-// Effective delivery mode for newly built links: the BARB_LINK_BATCH
-// environment variable ("1"/"0") overrides the builder's default.
-bool batch_delivery_enabled(bool default_batched);
 
 struct LinkPortStats {
   std::uint64_t tx_frames = 0;
@@ -83,7 +75,7 @@ class LinkPort {
   // through the injector, which may drop, corrupt, duplicate, delay, or
   // reorder its delivery to the peer. Without an injector the port takes
   // the exact fault-free path and performs no RNG draws. Install before any
-  // traffic: a port must run one delivery engine for its whole lifetime.
+  // traffic, so every frame of a run sees one fault model.
   void set_fault_injector(FaultInjector* injector);
   FaultInjector* fault_injector() const { return fault_; }
 
@@ -108,29 +100,26 @@ class LinkPort {
   friend class Link;
   friend class FaultInjector;
 
-  // --- per-frame engine ---
-  void start_transmission(net::Packet pkt);
-  void on_transmit_complete();
   // Schedules delivery of `pkt` to the peer after `delay`; rx accounting
   // happens at delivery time. The fault injector calls this zero, one, or
   // two times per transmitted frame.
   void schedule_delivery(net::Packet pkt, sim::Duration delay);
 
-  // --- batched engine ---
+  // Only what the frame's size cannot give back: a queue of minimum-size
+  // flood frames holds thousands of these.
   struct PendingFrame {
-    sim::TimePoint ser_start;   // transmitter picks the frame up
-    sim::TimePoint deliver_at;  // serialization end + propagation
-    sim::Duration tx_time;      // serialization time (busy_time contribution)
-    std::size_t bytes = 0;
+    sim::TimePoint ser_start;  // transmitter picks the frame up
     net::Packet pkt;
   };
+  // Serialization end + propagation.
+  sim::TimePoint deliver_at(const PendingFrame& f) const;
 
-  bool use_batched() const;
   // Applies TX-side accounting (tx_frames/tx_bytes/busy_time, queue drain)
   // for every pending frame whose serialization has started by `now`.
   // Observers (stats(), queue gauges) advance to the current instant before
-  // reading, so sampled values match the per-frame engine's exactly.
+  // reading.
   void advance_accounting(sim::TimePoint now) const;
+  // Delivers (or hands to the fault injector) every frame due by now.
   void deliver_batch();
   void arm_batch_timer(sim::TimePoint at);
 
@@ -139,13 +128,9 @@ class LinkPort {
   FrameSink* sink_ = nullptr;
   FaultInjector* fault_ = nullptr;
 
-  // Per-frame engine state.
-  std::deque<net::Packet> queue_;
-  bool transmitting_ = false;
-
-  // Batched engine state: frames sent but not yet delivered, FIFO in
-  // serialization (= delivery) order. Entries below acct_idx_ have had their
-  // TX accounting applied; queued_bytes_ sums the entries above it.
+  // Frames sent but not yet delivered, FIFO in serialization (= delivery)
+  // order. Entries below acct_idx_ have had their TX accounting applied;
+  // queued_bytes_ sums the entries above it.
   std::deque<PendingFrame> pending_;
   mutable std::size_t acct_idx_ = 0;
   sim::TimePoint tx_free_at_;

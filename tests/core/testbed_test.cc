@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "apps/flood_generator.h"
+#include "apps/iperf.h"
 #include "firewall/policy.h"
 #include "stack/udp.h"
 
@@ -182,6 +184,66 @@ TEST(Testbed, SettleIsNoopInDirectMode) {
   Testbed tb(sim, cfg);
   tb.settle();
   EXPECT_EQ(sim.now(), sim::TimePoint::origin());
+}
+
+// End-to-end goldens on the paper topology, recorded before the link model
+// was reduced to one delivery engine. Any change to frame timing, queueing
+// or drops on the testbed's links moves these numbers.
+
+// TCP iperf through an ADF target at depth 16.
+TEST(Testbed, IperfThroughAdfMatchesGolden) {
+  sim::Simulation sim(7);
+  TestbedConfig config;
+  config.firewall = FirewallKind::kAdf;
+  config.action_rule_depth = 16;
+  Testbed testbed(sim, config);
+  testbed.settle();
+
+  apps::IperfServer server(testbed.target());
+  server.start();
+  apps::IperfClient client(testbed.client(), testbed.addresses().target);
+  apps::IperfResult result;
+  client.run(apps::IperfClient::Mode::kTcp, sim::Duration::milliseconds(200),
+             [&](apps::IperfResult r) { result = r; });
+  sim.run();
+
+  EXPECT_TRUE(result.completed);
+  EXPECT_EQ(result.bytes, 2070280u);
+  EXPECT_EQ(result.mbps, 82.811199999999999);
+  EXPECT_EQ(result.retransmissions, 0u);
+}
+
+// UDP iperf under a spoofed full-size UDP flood above line rate: the
+// switch's egress queue toward the target overflows.
+TEST(Testbed, FloodOverflowMatchesGolden) {
+  sim::Simulation sim(11);
+  TestbedConfig config;
+  config.firewall = FirewallKind::kNone;
+  Testbed testbed(sim, config);
+  testbed.settle();
+
+  apps::IperfServer server(testbed.target());
+  server.start();
+  apps::IperfClient client(testbed.client(), testbed.addresses().target);
+  apps::IperfResult result;
+  client.run(apps::IperfClient::Mode::kUdp, sim::Duration::milliseconds(200),
+             [&](apps::IperfResult r) { result = r; }, 50e6);
+
+  apps::FloodConfig flood_cfg;
+  flood_cfg.target = testbed.addresses().target;
+  flood_cfg.rate_pps = 20000;
+  flood_cfg.frame_size = 1514;
+  flood_cfg.spoof_source = true;
+  apps::FloodGenerator flood(testbed.attacker(), flood_cfg);
+  flood.start();
+  sim.schedule(sim::Duration::milliseconds(400), [&] { flood.stop(); });
+  sim.run();
+
+  // The switch side of the target's access link.
+  const auto& toward_target = testbed.fabric().host_link(3).b().stats();
+  EXPECT_EQ(result.bytes, 991340u);
+  EXPECT_EQ(toward_target.tx_frames, 4294u);
+  EXPECT_EQ(toward_target.dropped_frames, 308u);
 }
 
 }  // namespace

@@ -118,8 +118,8 @@ TEST(TopologyBuilder, CrossFabricPingWorks) {
 }
 
 // A 200 kB TCP transfer from leaf 0 to leaf 1 crosses the spine through
-// batched links and pinned routes: every byte arrives intact, the stream
-// closes, and the simulation drains.
+// trunks and pinned routes: every byte arrives intact, the stream closes,
+// and the simulation drains.
 TEST(TopologyBuilder, CrossSpineTcpTransferDeliversEveryByte) {
   sim::Simulation sim(7);
   LeafSpineSpec spec;

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <utility>
 #include <vector>
 
 #include "sim/simulation.h"
@@ -153,6 +155,184 @@ TEST(Link, SustainedThroughputAtLineRate) {
   const double payload_bps = n * 1514 * 8.0 / elapsed;
   // 1514/1538 of the raw 100 Mbps.
   EXPECT_NEAR(payload_bps, 100e6 * 1514.0 / 1538.0, 1e5);
+}
+
+// --- Timeline against a reference serializer ------------------------------
+
+struct Send {
+  sim::Duration at;
+  std::size_t bytes;
+};
+
+// Bursty traffic that overflows an 8 KiB queue: 20 near-full-size frames at
+// t=0, a trickle of minimum-size frames, then a second burst after a quiet
+// gap.
+constexpr std::size_t kSmallQueueBytes = 8 * 1024;
+
+std::vector<Send> bursty_sends() {
+  std::vector<Send> sends;
+  for (int i = 0; i < 20; ++i) sends.push_back({sim::Duration(), 1442});
+  for (int i = 0; i < 10; ++i) {
+    sends.push_back({sim::Duration::microseconds(200) * (i + 1), 60});
+  }
+  for (int i = 0; i < 8; ++i) sends.push_back({sim::Duration::milliseconds(5), 742});
+  return sends;
+}
+
+// Gauge sampling instants that straddle serializations.
+std::vector<sim::Duration> sample_times() {
+  std::vector<sim::Duration> times;
+  for (int i = 0; i < 40; ++i) times.push_back(sim::Duration::microseconds(150) * i);
+  return times;
+}
+
+using Delivery = std::pair<sim::TimePoint, std::size_t>;
+
+struct Timeline {
+  std::vector<Delivery> deliveries;
+  std::uint64_t tx_frames = 0;
+  std::uint64_t tx_bytes = 0;
+  std::uint64_t dropped = 0;
+  sim::Duration busy_time;
+  std::vector<std::size_t> sampled_depths;
+  std::vector<std::size_t> sampled_bytes;
+};
+
+// An independent model of a drop-tail FIFO in front of a 100 Mbps wire with
+// 500 ns of propagation. A frame starts serializing at max(send time,
+// previous end); it is dropped when the bytes waiting behind the wire plus
+// its own size exceed the queue; it is delivered at serialization end plus
+// propagation. Sends at one instant precede samples at that instant.
+Timeline reference_timeline(const std::vector<Send>& sends,
+                            const std::vector<sim::Duration>& samples,
+                            std::size_t queue_bytes) {
+  // Preamble + SFD + FCS + inter-frame gap; runts are padded to 60 bytes;
+  // 80 ns per byte at 100 Mbps.
+  auto wire_time = [](std::size_t bytes) {
+    return sim::Duration::nanoseconds(
+        static_cast<std::int64_t>((std::max<std::size_t>(bytes, 60) + 24) * 80));
+  };
+  struct Accepted {
+    sim::TimePoint sent, start, end;
+    std::size_t bytes;
+  };
+  std::vector<Accepted> accepted;
+  Timeline out;
+  sim::TimePoint wire_free;
+  for (const Send& s : sends) {
+    const sim::TimePoint now = sim::TimePoint::origin() + s.at;
+    std::size_t waiting = 0;
+    for (const Accepted& a : accepted) {
+      if (a.start > now) waiting += a.bytes;
+    }
+    if (wire_free > now && waiting + s.bytes > queue_bytes) {
+      ++out.dropped;
+      continue;
+    }
+    const sim::TimePoint start = std::max(now, wire_free);
+    wire_free = start + wire_time(s.bytes);
+    accepted.push_back({now, start, wire_free, s.bytes});
+    out.deliveries.emplace_back(wire_free + sim::Duration::nanoseconds(500), s.bytes);
+    ++out.tx_frames;
+    out.tx_bytes += s.bytes;
+    out.busy_time += wire_time(s.bytes);
+  }
+  for (const sim::Duration& at : samples) {
+    const sim::TimePoint now = sim::TimePoint::origin() + at;
+    std::size_t depth = 0, bytes = 0;
+    for (const Accepted& a : accepted) {
+      if (a.sent > now) continue;
+      if (a.start > now) {
+        ++depth;
+        bytes += a.bytes;
+      } else if (a.end > now) {
+        ++depth;  // on the wire
+      }
+    }
+    out.sampled_depths.push_back(depth);
+    out.sampled_bytes.push_back(bytes);
+  }
+  return out;
+}
+
+struct DrivenLink {
+  Timeline timeline;
+  std::uint64_t rx_frames = 0;
+  std::uint64_t rx_bytes = 0;
+  std::uint64_t events = 0;
+  std::uint64_t scheduled_by_test = 0;
+};
+
+// Runs the sends and gauge samples through a real Link, one scheduled event
+// per send and per sample.
+DrivenLink drive(const std::vector<Send>& sends,
+                 const std::vector<sim::Duration>& samples) {
+  sim::Simulation sim(1);
+  LinkConfig config;
+  config.queue_bytes = kSmallQueueBytes;
+  Link link(sim, config);
+  struct TimestampSink : FrameSink {
+    sim::Simulation* sim = nullptr;
+    std::vector<Delivery> deliveries;
+    void deliver(net::Packet pkt) override {
+      deliveries.emplace_back(sim->now(), pkt.size());
+    }
+  } sink;
+  sink.sim = &sim;
+  link.b().connect_sink(&sink);
+
+  DrivenLink run;
+  for (const Send& s : sends) {
+    sim.schedule(s.at, [&link, bytes = s.bytes] { link.a().send(make_frame(bytes)); });
+  }
+  for (const sim::Duration& at : samples) {
+    sim.schedule(at, [&] {
+      run.timeline.sampled_depths.push_back(link.a().queue_depth());
+      run.timeline.sampled_bytes.push_back(link.a().queued_bytes());
+    });
+  }
+  run.scheduled_by_test = sends.size() + samples.size();
+  sim.run();
+
+  const LinkPortStats& tx = link.a().stats();
+  run.timeline.deliveries = sink.deliveries;
+  run.timeline.tx_frames = tx.tx_frames;
+  run.timeline.tx_bytes = tx.tx_bytes;
+  run.timeline.dropped = tx.dropped_frames;
+  run.timeline.busy_time = tx.busy_time;
+  run.rx_frames = link.b().stats().rx_frames;
+  run.rx_bytes = link.b().stats().rx_bytes;
+  run.events = sim.events_executed();
+  return run;
+}
+
+TEST(Link, TimelineMatchesSerializationModel) {
+  const auto sends = bursty_sends();
+  const auto samples = sample_times();
+  const Timeline want = reference_timeline(sends, samples, kSmallQueueBytes);
+  const DrivenLink got = drive(sends, samples);
+
+  ASSERT_EQ(got.timeline.deliveries.size(), want.deliveries.size());
+  for (std::size_t i = 0; i < want.deliveries.size(); ++i) {
+    EXPECT_EQ(got.timeline.deliveries[i], want.deliveries[i]) << "delivery " << i;
+  }
+  EXPECT_GT(want.dropped, 0u);  // the bursts did overflow
+  EXPECT_EQ(got.timeline.dropped, want.dropped);
+  EXPECT_EQ(got.timeline.tx_frames, want.tx_frames);
+  EXPECT_EQ(got.timeline.tx_bytes, want.tx_bytes);
+  EXPECT_EQ(got.timeline.busy_time, want.busy_time);
+  EXPECT_EQ(got.rx_frames, want.tx_frames);
+  EXPECT_EQ(got.rx_bytes, want.tx_bytes);
+  EXPECT_EQ(got.timeline.sampled_depths, want.sampled_depths);
+  EXPECT_EQ(got.timeline.sampled_bytes, want.sampled_bytes);
+}
+
+// A port's one armed timer fires once per delivered frame, and freeing the
+// transmitter costs no event: the only events beyond the test's own are
+// deliveries.
+TEST(Link, OneEventPerDeliveredFrame) {
+  const DrivenLink got = drive(bursty_sends(), sample_times());
+  EXPECT_EQ(got.events, got.scheduled_by_test + got.rx_frames);
 }
 
 }  // namespace
