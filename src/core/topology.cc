@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "util/assert.h"
+#include "util/heap_bytes.h"
 
 namespace barb::core {
 
@@ -79,18 +80,38 @@ bool Fabric::all_hosts_routed() const {
 MemoryAudit Fabric::memory_audit() const {
   MemoryAudit audit;
   audit.hosts = hosts_.size();
-  if (directory_) audit.directory_bytes = directory_->memory_bytes();
+  if (directory_) {
+    audit.directory_bytes = sizeof(stack::AddressDirectory) + directory_->memory_bytes();
+  }
   for (std::size_t i = 0; i < hosts_.size(); ++i) {
-    audit.arp_private_bytes += hosts_[i]->arp().memory_bytes();
+    stack::Host& host = *hosts_[i];
+    audit.arp_private_bytes += host.arp().memory_bytes();
+    audit.host_stack_bytes += host.stack_memory_bytes();
     audit.host_object_bytes += sizeof(stack::Host);
     if (firewalls_[i] != nullptr) {
-      audit.flow_state_bytes += firewalls_[i]->flow_states().memory_bytes();
+      audit.firewall_bytes += firewalls_[i]->memory_bytes();
       audit.host_object_bytes += sizeof(firewall::FirewallNic);
     } else {
-      audit.host_object_bytes += sizeof(stack::StandardNic);
+      audit.host_object_bytes +=
+          sizeof(stack::StandardNic) + util::heap_bytes(host.nic().name());
     }
   }
-  for (const auto& sw : switches_) audit.switch_fib_bytes += sw->fib_memory_bytes();
+  for (const auto& link : links_) {
+    audit.link_bytes += sizeof(link::Link) + link->memory_bytes();
+  }
+  for (const auto& sw : switches_) {
+    audit.switch_fib_bytes += sw->fib_memory_bytes();
+    audit.switch_port_bytes += sizeof(link::Switch) + sw->port_memory_bytes();
+  }
+  audit.fabric_bytes = sizeof(Fabric) + util::heap_bytes(switches_) +
+                       util::heap_bytes(links_) + util::heap_bytes(hosts_) +
+                       util::heap_bytes(firewalls_) + util::heap_bytes(host_switch_) +
+                       util::heap_bytes(host_port_) + util::heap_bytes(port_peer_switch_) +
+                       util::heap_bytes(port_host_);
+  for (std::size_t s = 0; s < switches_.size(); ++s) {
+    audit.fabric_bytes +=
+        util::heap_bytes(port_peer_switch_[s]) + util::heap_bytes(port_host_[s]);
+  }
   return audit;
 }
 
@@ -99,14 +120,22 @@ void Fabric::register_fleet_metrics(telemetry::MetricRegistry& registry) {
                  [this] { return static_cast<double>(memory_audit().per_host_bytes()); });
   registry.gauge("mem.total_bytes", "",
                  [this] { return static_cast<double>(memory_audit().total_bytes()); });
-  registry.gauge("mem.directory_bytes", "",
-                 [this] { return static_cast<double>(memory_audit().directory_bytes); });
-  registry.gauge("mem.arp_private_bytes", "",
-                 [this] { return static_cast<double>(memory_audit().arp_private_bytes); });
-  registry.gauge("mem.switch_fib_bytes", "",
-                 [this] { return static_cast<double>(memory_audit().switch_fib_bytes); });
-  registry.gauge("mem.flow_state_bytes", "",
-                 [this] { return static_cast<double>(memory_audit().flow_state_bytes); });
+  static constexpr std::pair<const char*, std::size_t MemoryAudit::*> kFields[] = {
+      {"mem.directory_bytes", &MemoryAudit::directory_bytes},
+      {"mem.arp_private_bytes", &MemoryAudit::arp_private_bytes},
+      {"mem.host_stack_bytes", &MemoryAudit::host_stack_bytes},
+      {"mem.firewall_bytes", &MemoryAudit::firewall_bytes},
+      {"mem.link_bytes", &MemoryAudit::link_bytes},
+      {"mem.switch_fib_bytes", &MemoryAudit::switch_fib_bytes},
+      {"mem.switch_port_bytes", &MemoryAudit::switch_port_bytes},
+      {"mem.host_object_bytes", &MemoryAudit::host_object_bytes},
+      {"mem.fabric_bytes", &MemoryAudit::fabric_bytes},
+  };
+  for (const auto& [name, field] : kFields) {
+    registry.gauge(name, "", [this, field = field] {
+      return static_cast<double>(memory_audit().*field);
+    });
+  }
   registry.gauge("fleet.hosts", "",
                  [this] { return static_cast<double>(num_hosts()); });
   registry.counter_fn("fleet.ip_rx", "", [this] {

@@ -72,17 +72,29 @@ struct HostSpec {
 };
 
 // Aggregate heap-footprint audit over a built fabric (the `mem.*` numbers).
+// Every object TopologyBuilder allocates, and every component's memory_bytes(),
+// lands in exactly one field, so total_bytes() tracks what building and
+// running the fabric holds on the heap (checked against a counting
+// operator new by tests/core/memory_audit_test.cc). Frame buffers (the
+// buffer pool's) and scheduler events (the Simulation's) are not the
+// fabric's and are not counted.
 struct MemoryAudit {
   std::size_t hosts = 0;
   std::size_t directory_bytes = 0;    // shared AddressDirectory (once)
   std::size_t arp_private_bytes = 0;  // per-host private ARP maps, summed
+  std::size_t host_stack_bytes = 0;   // UDP/TCP layers: sockets, connections
+  std::size_t firewall_bytes = 0;     // NIC firewall cards: rules, flow tables,
+                                      // classifier, ring queue
+  std::size_t link_bytes = 0;         // Link objects and their port FIFOs
   std::size_t switch_fib_bytes = 0;   // bounded FIBs, summed over switches
-  std::size_t flow_state_bytes = 0;   // stateful flow tables, summed
+  std::size_t switch_port_bytes = 0;  // Switch objects, port tables and sinks
   std::size_t host_object_bytes = 0;  // the Host/Nic objects themselves
+  std::size_t fabric_bytes = 0;       // the Fabric and its index tables
 
   std::size_t total_bytes() const {
-    return directory_bytes + arp_private_bytes + switch_fib_bytes +
-           flow_state_bytes + host_object_bytes;
+    return directory_bytes + arp_private_bytes + host_stack_bytes +
+           firewall_bytes + link_bytes + switch_fib_bytes + switch_port_bytes +
+           host_object_bytes + fabric_bytes;
   }
   std::size_t per_host_bytes() const {
     return hosts == 0 ? 0 : total_bytes() / hosts;

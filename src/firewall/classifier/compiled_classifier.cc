@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <bit>
 
+#include "util/heap_bytes.h"
+
 namespace barb::firewall {
 
 namespace {
@@ -225,6 +227,16 @@ int CompiledClassifier::worst_case_nodes() const {
   int nodes = 1;
   for (const auto& f : fields_) nodes += f.search_depth;
   return nodes + static_cast<int>(words_);
+}
+
+std::size_t CompiledClassifier::memory_bytes() const {
+  std::size_t bytes = util::heap_bytes(entry_rule_) + util::heap_bytes(rule_action_) +
+                      util::heap_bytes(rule_vpg_id_) + util::heap_bytes(cost_prefix_) +
+                      util::heap_bytes(vpg_prefix_) + util::heap_bytes(vpg_index_);
+  for (const auto& f : fields_) {
+    bytes += util::heap_bytes(f.boundaries) + util::heap_bytes(f.bits);
+  }
+  return bytes;
 }
 
 }  // namespace barb::firewall

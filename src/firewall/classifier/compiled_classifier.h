@@ -56,7 +56,7 @@ struct CompiledClassifierStats {
   std::size_t rules = 0;
   std::size_t entries = 0;       // directed entries after expansion
   std::size_t intervals = 0;     // elementary intervals across all fields
-  std::size_t memory_bytes = 0;  // bit-vector + boundary storage
+  std::size_t memory_bytes = 0;  // field tables: bit-vector + boundary storage
 };
 
 class CompiledClassifier {
@@ -80,6 +80,10 @@ class CompiledClassifier {
   int worst_case_nodes() const;
 
   const CompiledClassifierStats& stats() const { return stats_; }
+
+  // Heap held by every table: field tables, per-entry and per-rule vectors,
+  // the VPG index (stats().memory_bytes counts only the field tables).
+  std::size_t memory_bytes() const;
 
  private:
   // One field's interval table. Values are widened to uint32.

@@ -12,14 +12,16 @@ std::size_t round_up_pow2(std::size_t n) {
 
 }  // namespace
 
-FlowCache::FlowCache(FlowCacheConfig config) : config_(config) {
-  const std::size_t slots = round_up_pow2(config_.capacity < 2 ? 2 : config_.capacity);
-  slots_.resize(slots);
-  mask_ = slots - 1;
-}
+FlowCache::FlowCache(FlowCacheConfig config)
+    : config_(config),
+      mask_(round_up_pow2(config_.capacity < 2 ? 2 : config_.capacity) - 1) {}
 
 bool FlowCache::lookup(const net::FiveTuple& tuple, MatchResult* out) {
   ++stats_.lookups;
+  if (slots_.empty()) {
+    ++stats_.misses;  // nothing inserted yet
+    return false;
+  }
   std::size_t idx = home(tuple);
   for (int d = 0; d < config_.max_probe; ++d, idx = (idx + 1) & mask_) {
     Slot& s = slots_[idx];
@@ -44,6 +46,7 @@ bool FlowCache::lookup(const net::FiveTuple& tuple, MatchResult* out) {
 
 void FlowCache::insert(const net::FiveTuple& tuple, const MatchResult& verdict) {
   ++stats_.inserts;
+  if (slots_.empty()) slots_.resize(mask_ + 1);
   Slot incoming;
   incoming.key = tuple;
   incoming.verdict = verdict;

@@ -13,8 +13,9 @@
 //  * Fixed capacity, power-of-two slots, bounded probe distance. Robin-hood
 //    displacement keeps probe sequences short; an insert whose displacement
 //    chain exceeds the probe bound drops the carried (poorest) entry — the
-//    eviction policy. The table can never grow, so a tuple flood churns it
-//    instead of exhausting memory.
+//    eviction policy. The slot array is allocated once, at the first insert,
+//    and never grows after, so a tuple flood churns it instead of exhausting
+//    memory — and a card whose backend never caches a verdict holds none.
 //  * Verdicts of every action (allow, deny, vpg) are cached: the card's
 //    cost is classification, not the verdict's sign. VPG-encapsulated
 //    frames never enter the cache (their match is by id, already O(1)).
@@ -64,7 +65,11 @@ class FlowCache {
   }
 
   std::uint64_t generation() const { return generation_; }
+  // Configured slot count (allocated or not).
   std::size_t capacity() const { return mask_ + 1; }
+  // Heap held: the slot array, zero until the first insert.
+  std::size_t memory_bytes() const { return slots_.capacity() * slot_bytes(); }
+  static constexpr std::size_t slot_bytes() { return sizeof(Slot); }
   // Current-generation entries (approximate upper bound after a bump: stale
   // entries are only discounted as they are found and reclaimed).
   std::size_t live_entries() const { return live_; }
@@ -84,7 +89,7 @@ class FlowCache {
   }
 
   FlowCacheConfig config_;
-  std::vector<Slot> slots_;
+  std::vector<Slot> slots_;  // empty until the first insert
   std::size_t mask_ = 0;
   std::uint64_t generation_ = 1;
   std::size_t live_ = 0;

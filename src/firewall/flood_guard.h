@@ -31,6 +31,7 @@
 
 #include "net/frame_view.h"
 #include "sim/time.h"
+#include "util/heap_bytes.h"
 #include "util/token_bucket.h"
 
 namespace barb::firewall {
@@ -79,6 +80,10 @@ class FloodGuard {
   const FloodGuardConfig& config() const { return config_; }
   const FloodGuardStats& stats() const { return stats_; }
   std::size_t tracked_sources() const { return sources_.size(); }
+  // Heap held by the per-source table and its LRU list.
+  std::size_t memory_bytes() const {
+    return util::heap_bytes(sources_) + util::heap_bytes(lru_);
+  }
   double effective_per_source_rate() const { return per_source_rate_; }
   double effective_aggregate_rate() const { return aggregate_rate_; }
 

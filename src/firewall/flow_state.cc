@@ -8,19 +8,17 @@
 
 namespace barb::firewall {
 
-FlowStateTable::FlowStateTable(FlowStateConfig config) : config_(config) {
-  // <= 50% load at the LRU bound keeps linear-probe chains short.
-  const std::size_t slot_count =
-      std::bit_ceil(std::max<std::size_t>(2 * config_.max_entries, 16));
-  slots_.assign(slot_count, 0);
-  slot_mask_ = slot_count - 1;
-}
+FlowStateTable::FlowStateTable(FlowStateConfig config)
+    : config_(config),
+      // <= 50% load at the LRU bound keeps linear-probe chains short.
+      slot_mask_(std::bit_ceil(std::max<std::size_t>(2 * config_.max_entries, 16)) - 1) {}
 
 std::size_t FlowStateTable::home_slot(const net::FiveTuple& tuple) const {
   return std::hash<net::FiveTuple>{}(tuple) & slot_mask_;
 }
 
 std::size_t FlowStateTable::find_slot(const net::FiveTuple& tuple) const {
+  if (live_ == 0) return slots_.size();
   std::size_t slot = home_slot(tuple);
   while (slots_[slot] != 0) {
     if (tuples_.get(slots_[slot] - 1) == tuple) return slot;
@@ -102,6 +100,7 @@ bool FlowStateTable::lookup(const net::FiveTuple& tuple, sim::TimePoint now) {
 }
 
 void FlowStateTable::insert(const net::FiveTuple& tuple, sim::TimePoint now) {
+  if (slots_.empty()) slots_.assign(slot_mask_ + 1, 0);
   const auto key = canonical(tuple);
   const std::size_t slot = find_slot(key);
   if (slot != slots_.size()) {
@@ -131,7 +130,8 @@ void FlowStateTable::insert(const net::FiveTuple& tuple, sim::TimePoint now) {
 }
 
 void FlowStateTable::clear() {
-  slots_.assign(slots_.size(), 0);
+  // Every removal zeroes its slot, so an empty table's array is already clear.
+  if (live_ > 0) std::fill(slots_.begin(), slots_.end(), 0u);
   tuples_.clear();
   nodes_.clear();
   live_ = 0;

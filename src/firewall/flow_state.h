@@ -16,7 +16,9 @@
 // implementation paid an unordered_map node plus a std::list node per flow
 // (two heap allocations and two tuple copies); under a spoofed flood that
 // churn was the table's dominant cost. Semantics (hit/miss/expire/evict
-// order and counters) are unchanged.
+// order and counters) are unchanged. The slot array is allocated once, at the
+// first insert, and never grows after: a card that never admits a flow (the
+// paper's stateless EFW/ADF) holds no table at all.
 #pragma once
 
 #include <cstdint>
@@ -51,11 +53,16 @@ class FlowStateTable {
   // Registers an allowed flow (idempotent; refreshes existing state).
   void insert(const net::FiveTuple& tuple, sim::TimePoint now);
 
+  // Drops every entry. Runs on each policy install and card restart, so it
+  // touches the slot array only when the table holds entries.
   void clear();
   std::size_t size() const { return live_; }
+  // Configured slot count (allocated or not).
+  std::size_t slot_count() const { return slot_mask_ + 1; }
   const FlowStateStats& stats() const { return stats_; }
 
-  // Heap footprint: slot array + tuple slab + LRU/timestamp nodes.
+  // Heap footprint: slot array + tuple slab + LRU/timestamp nodes (zero
+  // until the first insert).
   std::size_t memory_bytes() const {
     return slots_.capacity() * sizeof(std::uint32_t) + tuples_.memory_bytes() +
            nodes_.capacity() * sizeof(Node);
@@ -79,7 +86,8 @@ class FlowStateTable {
   };
 
   std::size_t home_slot(const net::FiveTuple& tuple) const;
-  // Slot holding `tuple`, or the slot count if absent.
+  // Slot holding `tuple`, or slots_.size() if absent (also when the slot
+  // array is not allocated yet).
   std::size_t find_slot(const net::FiveTuple& tuple) const;
   // Backward-shift deletion keeping linear-probe chains contiguous.
   void erase_slot(std::size_t slot);
@@ -91,7 +99,7 @@ class FlowStateTable {
   FlowStateConfig config_;
   net::FiveTupleSlab tuples_;
   std::vector<Node> nodes_;            // indexed by tuple handle
-  std::vector<std::uint32_t> slots_;   // handle + 1; 0 = empty
+  std::vector<std::uint32_t> slots_;   // handle + 1; 0 = empty; sized at first insert
   std::size_t slot_mask_ = 0;
   std::size_t live_ = 0;
   std::uint32_t lru_head_ = kNil;      // most recently used

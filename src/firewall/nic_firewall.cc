@@ -2,6 +2,7 @@
 
 #include <utility>
 
+#include "util/heap_bytes.h"
 #include "util/logging.h"
 
 namespace barb::firewall {
@@ -375,6 +376,12 @@ void FirewallNic::note_inbound_deny() {
               name_.c_str(), now.to_string().c_str(),
               static_cast<unsigned long long>(deny_window_count_));
   }
+}
+
+std::size_t FirewallNic::memory_bytes() const {
+  return util::heap_bytes(name_) + rules_.memory_bytes() + flow_states_.memory_bytes() +
+         flow_cache_.memory_bytes() + compiled_.memory_bytes() +
+         util::heap_bytes(queue_) + vpgs_.memory_bytes() + guard_.memory_bytes();
 }
 
 }  // namespace barb::firewall

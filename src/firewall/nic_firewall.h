@@ -94,6 +94,10 @@ class FirewallNic : public stack::Nic {
   const FlowCache& flow_cache() const { return flow_cache_; }
   bool locked_up() const { return locked_; }
 
+  // Heap held by the card: rules, both flow tables, the compiled
+  // classifier, the ring queue, and the VPG and FloodGuard tables.
+  std::size_t memory_bytes() const;
+
   // Registers the card's counters ("fw.*"), queue gauges, a service-time
   // histogram ("fw.service_time_ns", fed by every processed frame), and —
   // when FloodGuard is enabled — the "guard.*" screening counters.

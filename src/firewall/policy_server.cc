@@ -1,6 +1,8 @@
 #include "firewall/policy_server.h"
 
 #include <algorithm>
+#include <charconv>
+#include <string_view>
 
 #include "util/byte_io.h"
 #include "util/logging.h"
@@ -178,13 +180,19 @@ void PolicyServer::handle_message(Session& session, const PolicyMessage& msg) {
       break;
     }
     case PolicyMsgType::kAck: {
+      // body: "version <n>". A malformed ack, or one naming a version never
+      // pushed to this agent, is ignored.
       if (!session.identified) return;
+      const std::string_view body(msg.body);
+      if (!body.starts_with("version ")) return;
+      const std::string_view num = body.substr(8);
       std::uint64_t version = 0;
-      if (std::sscanf(msg.body.c_str(), "version %llu",
-                      reinterpret_cast<unsigned long long*>(&version)) == 1) {
-        agents_[session.agent].acked_version = version;
-        ++stats_.acks;
-      }
+      const auto [end, ec] = std::from_chars(num.data(), num.data() + num.size(), version);
+      if (ec != std::errc() || end != num.data() + num.size()) return;
+      auto& status = agents_[session.agent];
+      if (version > status.pushed_version) return;
+      status.acked_version = version;
+      ++stats_.acks;
       break;
     }
     case PolicyMsgType::kHeartbeat: {

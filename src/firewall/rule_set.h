@@ -55,6 +55,9 @@ class RuleSet {
 
   std::string to_string() const;
 
+  // Heap held: the rule list.
+  std::size_t memory_bytes() const { return rules_.capacity() * sizeof(Rule); }
+
  private:
   std::vector<Rule> rules_;
   RuleAction default_action_ = RuleAction::kDeny;

@@ -2,6 +2,8 @@
 
 #include <utility>
 
+#include "util/heap_bytes.h"
+
 namespace barb::firewall {
 
 SoftwareFirewall::SoftwareFirewall(sim::Simulation& sim, SoftwareFirewallConfig config)
@@ -92,6 +94,11 @@ void SoftwareFirewall::register_metrics(telemetry::MetricRegistry& registry,
   registry.gauge("swfw.queue_depth", labels,
                  [this] { return static_cast<double>(queue_.size()); });
   service_hist_ = &registry.histogram("swfw.service_time_ns", labels);
+}
+
+std::size_t SoftwareFirewall::memory_bytes() const {
+  return rules_.memory_bytes() + flow_cache_.memory_bytes() + compiled_.memory_bytes() +
+         util::heap_bytes(queue_);
 }
 
 }  // namespace barb::firewall

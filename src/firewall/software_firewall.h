@@ -61,6 +61,8 @@ class SoftwareFirewall : public stack::HostPacketFilter {
   const RuleSet& rule_set() const { return rules_; }
   const SoftwareFirewallStats& stats() const { return stats_; }
   const FlowCache& flow_cache() const { return flow_cache_; }
+  // Heap held: rules, flow cache, compiled classifier and backlog queue.
+  std::size_t memory_bytes() const;
 
   void filter(stack::FilterDirection direction, net::Packet pkt,
               Resume resume) override;

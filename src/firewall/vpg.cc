@@ -5,6 +5,7 @@
 #include "crypto/hmac.h"
 #include "net/ethernet.h"
 #include "util/byte_io.h"
+#include "util/heap_bytes.h"
 
 namespace barb::firewall {
 
@@ -189,6 +190,12 @@ bool VpgTable::decapsulate(net::Packet& pkt) {
   if (!decapsulate_into(pkt.bytes(), *view, builder.buffer())) return false;
   pkt.buffer = builder.seal();
   return true;
+}
+
+std::size_t VpgTable::memory_bytes() const {
+  std::size_t bytes = util::heap_bytes(groups_);
+  for (const auto& [id, group] : groups_) bytes += util::heap_bytes(group.rx);
+  return bytes;
 }
 
 }  // namespace barb::firewall

@@ -39,6 +39,8 @@ class VpgTable {
   bool has(std::uint32_t vpg_id) const { return groups_.contains(vpg_id); }
   std::size_t size() const { return groups_.size(); }
   const VpgStats& stats() const { return stats_; }
+  // Heap held by the group table and its per-sender replay windows.
+  std::size_t memory_bytes() const;
 
   // Rewrites `frame` (a full Ethernet frame) into its VPG-encapsulated form.
   // Returns false if the VPG is unknown or the frame is not IPv4.

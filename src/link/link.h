@@ -32,6 +32,7 @@
 #include "net/packet.h"
 #include "sim/simulation.h"
 #include "telemetry/registry.h"
+#include "util/heap_bytes.h"
 
 namespace barb::link {
 
@@ -86,6 +87,9 @@ class LinkPort {
   std::size_t queue_depth() const;
   std::size_t queued_bytes() const;
   bool connected() const { return link_ != nullptr; }
+  // Heap held by the FIFO of frames sent but not yet delivered (the frame
+  // buffers themselves belong to the buffer pool).
+  std::size_t memory_bytes() const { return util::heap_bytes(pending_); }
 
   // Registers this port's stats (frames/bytes/drops/busy time, queue depth)
   // under "link.*" with the given label set. The registry must not be
@@ -151,6 +155,8 @@ class Link {
   LinkPort& b() { return b_; }
   const LinkConfig& config() const { return config_; }
   sim::Simulation& simulation() { return sim_; }
+  // Heap held by both ports' FIFOs.
+  std::size_t memory_bytes() const { return a_.memory_bytes() + b_.memory_bytes(); }
 
  private:
   friend class LinkPort;

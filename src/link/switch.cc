@@ -6,6 +6,7 @@
 
 #include "net/frame_view.h"
 #include "util/assert.h"
+#include "util/heap_bytes.h"
 
 namespace barb::link {
 
@@ -221,6 +222,11 @@ void Switch::register_fib_metrics(telemetry::MetricRegistry& registry,
                  [this] { return static_cast<double>(fib_size()); });
   registry.gauge("switch.fib_bytes", labels,
                  [this] { return static_cast<double>(fib_memory_bytes()); });
+}
+
+std::size_t Switch::port_memory_bytes() const {
+  return util::heap_bytes(ports_) + util::heap_bytes(sinks_) +
+         sinks_.size() * sizeof(PortSink) + util::heap_bytes(name_);
 }
 
 }  // namespace barb::link

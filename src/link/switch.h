@@ -94,6 +94,8 @@ class Switch {
   std::size_t fib_size() const { return fib_live_; }
   // Heap footprint of the FIB slot array.
   std::size_t fib_memory_bytes() const { return fib_.capacity() * sizeof(FibEntry); }
+  // Heap held outside the FIB: the port table, one sink per port, the name.
+  std::size_t port_memory_bytes() const;
 
  private:
   struct PortSink;

@@ -31,6 +31,7 @@
 #include "net/ipv4_address.h"
 #include "net/mac_address.h"
 #include "util/assert.h"
+#include "util/heap_bytes.h"
 
 namespace barb::net {
 
@@ -65,14 +66,9 @@ class Interner {
 
   std::size_t size() const { return values_.size(); }
 
-  // Approximate heap footprint: the dense slab plus the lookup index
-  // (bucket array + one node per entry, the usual libstdc++ layout).
+  // Heap footprint: the dense slab plus the lookup index.
   std::size_t memory_bytes() const {
-    const std::size_t slab = values_.capacity() * sizeof(T);
-    const std::size_t nodes =
-        index_.size() * (sizeof(std::pair<T, InternHandle>) + 2 * sizeof(void*));
-    const std::size_t buckets = index_.bucket_count() * sizeof(void*);
-    return slab + nodes + buckets;
+    return util::heap_bytes(values_) + util::heap_bytes(index_);
   }
 
  private:
@@ -122,8 +118,7 @@ class SlabInterner {
   std::size_t slots() const { return values_.size(); }
 
   std::size_t memory_bytes() const {
-    return values_.capacity() * sizeof(T) +
-           free_.capacity() * sizeof(InternHandle);
+    return util::heap_bytes(values_) + util::heap_bytes(free_);
   }
 
   void clear() {

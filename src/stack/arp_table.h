@@ -18,6 +18,7 @@
 #include "net/ipv4_address.h"
 #include "net/mac_address.h"
 #include "stack/address_directory.h"
+#include "util/heap_bytes.h"
 
 namespace barb::stack {
 
@@ -42,11 +43,7 @@ class ArpTable {
 
   // Heap footprint of the private map. The shared directory's footprint is
   // reported by the topology that owns it, not double-counted per host.
-  std::size_t memory_bytes() const {
-    return table_.size() * (sizeof(std::pair<net::Ipv4Address, net::MacAddress>) +
-                            2 * sizeof(void*)) +
-           table_.bucket_count() * sizeof(void*);
-  }
+  std::size_t memory_bytes() const { return util::heap_bytes(table_); }
 
  private:
   std::unordered_map<net::Ipv4Address, net::MacAddress> table_;

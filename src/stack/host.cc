@@ -8,6 +8,7 @@
 #include "stack/tcp.h"
 #include "stack/udp.h"
 #include "util/assert.h"
+#include "util/heap_bytes.h"
 #include "util/logging.h"
 
 namespace barb::stack {
@@ -251,6 +252,11 @@ void Host::send_icmp_port_unreachable(const net::FrameView& original) {
   ++stats_.icmp_unreachable_sent;
   ++stats_.ip_tx;
   send_frame(net::Packet{std::move(frame), sim_.now(), next_packet_id()});
+}
+
+std::size_t Host::stack_memory_bytes() const {
+  return util::heap_bytes(name_) + sizeof(UdpLayer) + udp_->memory_bytes() +
+         sizeof(TcpLayer) + tcp_->memory_bytes();
 }
 
 }  // namespace barb::stack

@@ -71,6 +71,11 @@ class Host : public link::FrameSink {
   const HostConfig& config() const { return config_; }
   const HostStats& stats() const { return stats_; }
 
+  // Heap held by the host outside its NIC and ARP table (which report their
+  // own): the UDP and TCP layers with their sockets and connections, and
+  // the name.
+  std::size_t stack_memory_bytes() const;
+
   // Installs a host-resident packet filter (software firewall); nullptr
   // removes it. Not owned.
   void set_packet_filter(HostPacketFilter* filter) { filter_ = filter; }

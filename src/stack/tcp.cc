@@ -8,6 +8,7 @@
 #include "stack/host.h"
 #include "util/assert.h"
 #include "util/byte_io.h"
+#include "util/heap_bytes.h"
 #include "util/logging.h"
 
 namespace barb::stack {
@@ -879,5 +880,23 @@ void TcpLayer::close_listener(TcpListener* listener) {
 }
 
 void TcpListener::close() { layer_.close_listener(this); }
+
+std::size_t TcpConnection::memory_bytes() const {
+  std::size_t bytes = util::heap_bytes(send_buf_) + util::heap_bytes(reassembly_);
+  for (const auto& [seq, segment] : reassembly_) bytes += util::heap_bytes(segment);
+  return bytes;
+}
+
+std::size_t TcpLayer::memory_bytes() const {
+  // shared_ptr(new ...) adds a separate control block (two counts, a vtable
+  // pointer, the pointer) per connection.
+  constexpr std::size_t kControlBlock = 2 * sizeof(void*) + 2 * sizeof(int);
+  std::size_t bytes = util::heap_bytes(connections_) + util::heap_bytes(listeners_) +
+                      listeners_.size() * sizeof(TcpListener);
+  for (const auto& [key, conn] : connections_) {
+    bytes += sizeof(TcpConnection) + kControlBlock + conn->memory_bytes();
+  }
+  return bytes;
+}
 
 }  // namespace barb::stack

@@ -117,6 +117,8 @@ class TcpConnection : public std::enable_shared_from_this<TcpConnection> {
   std::uint16_t mss() const { return mss_; }
   double cwnd_bytes() const { return cwnd_; }
   sim::Duration smoothed_rtt() const { return sim::Duration::from_seconds(srtt_); }
+  // Heap held by the send buffer and the out-of-order reassembly queue.
+  std::size_t memory_bytes() const;
 
   // Queues data for transmission; returns the number of bytes accepted
   // (bounded by send-buffer space).
@@ -262,6 +264,8 @@ class TcpLayer {
 
   bool port_in_use(std::uint16_t port) const;
   std::size_t connection_count() const { return connections_.size(); }
+  // Heap held: the connection and listener tables and the objects in them.
+  std::size_t memory_bytes() const;
 
   // Host-wide cumulative stats: closed connections' totals plus everything
   // the live connections have accumulated so far.

@@ -9,6 +9,7 @@
 
 #include "net/frame_view.h"
 #include "net/ipv4_address.h"
+#include "util/heap_bytes.h"
 
 namespace barb::stack {
 
@@ -60,6 +61,11 @@ class UdpLayer {
 
   bool port_in_use(std::uint16_t port) const {
     return sockets_.contains(port);
+  }
+
+  // Heap held: the socket table and the sockets in it.
+  std::size_t memory_bytes() const {
+    return util::heap_bytes(sockets_) + sockets_.size() * sizeof(UdpSocket);
   }
 
  private:

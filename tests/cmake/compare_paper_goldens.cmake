@@ -1,7 +1,8 @@
-# Runs the paper-figure benches in fast mode into a fresh directory and
-# byte-compares every artifact against the committed goldens: each JSON with
-# check_bench_json.py --compare, each CSV with `cmake -E compare_files`. Every
-# golden must be reproduced and every written artifact must have a golden.
+# Runs benches (the paper figures, the matcher artifacts) in fast mode into a
+# fresh directory and byte-compares every artifact against the committed
+# goldens: each JSON with check_bench_json.py --compare, each CSV with
+# `cmake -E compare_files`. Every golden must be reproduced and every written
+# artifact must have a golden.
 #
 #   cmake "-DBENCHES=<binary>;<binary>" -DOUT_DIR=<dir> -DGOLDEN_DIR=<dir> \
 #         -DPYTHON=<python3> -DCHECKER=<check_bench_json.py> \

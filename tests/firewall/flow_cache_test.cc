@@ -117,6 +117,34 @@ TEST(FlowCache, ThrashEvictsButNeverGrows) {
   EXPECT_LE(hits, cache.capacity());
 }
 
+TEST(FlowCache, AllocatesSlotsOnFirstInsert) {
+  FlowCache cache(FlowCacheConfig{64, 8});
+  EXPECT_EQ(cache.capacity(), 64u);
+  EXPECT_EQ(cache.memory_bytes(), 0u);
+  // Lookups before any insert count as misses and allocate nothing.
+  MatchResult out;
+  EXPECT_FALSE(cache.lookup(tuple(1), &out));
+  EXPECT_FALSE(cache.lookup(tuple(2), &out));
+  EXPECT_EQ(cache.stats().lookups, 2u);
+  EXPECT_EQ(cache.stats().misses, 2u);
+  cache.bump_generation();
+  EXPECT_EQ(cache.stats().invalidations, 1u);
+  EXPECT_EQ(cache.memory_bytes(), 0u);
+
+  cache.insert(tuple(1), verdict(RuleAction::kAllow, 0));
+  const std::size_t allocated = cache.capacity() * FlowCache::slot_bytes();
+  EXPECT_EQ(cache.memory_bytes(), allocated);
+  ASSERT_TRUE(cache.lookup(tuple(1), &out));
+  EXPECT_EQ(out.action, RuleAction::kAllow);
+
+  // The thrash pattern churns the table without growing it.
+  for (std::uint32_t i = 0; i < 4096; ++i) {
+    cache.insert(tuple(i), verdict(RuleAction::kDeny, 0));
+  }
+  EXPECT_GT(cache.stats().evictions, 0u);
+  EXPECT_EQ(cache.memory_bytes(), allocated);
+}
+
 TEST(FlowCache, DeterministicAcrossIdenticalRuns) {
   auto run = [] {
     FlowCache cache(FlowCacheConfig{32, 4});

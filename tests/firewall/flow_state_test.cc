@@ -82,6 +82,48 @@ TEST(FlowState, ClearEmptiesEverything) {
   EXPECT_FALSE(table.lookup(tuple(1), sim::TimePoint::origin()));
 }
 
+TEST(FlowState, AllocatesSlotsOnFirstInsert) {
+  FlowStateConfig cfg;
+  cfg.max_entries = 4;
+  cfg.idle_timeout = sim::Duration::seconds(10);
+  FlowStateTable table(cfg);
+  const auto t0 = sim::TimePoint::origin();
+  EXPECT_EQ(table.memory_bytes(), 0u);
+  // Lookups on a never-used table miss and allocate nothing; neither does a
+  // clear() (a policy push or restart on a stateless card).
+  EXPECT_FALSE(table.lookup(tuple(1000), t0));
+  EXPECT_FALSE(table.lookup(tuple(1001), t0));
+  EXPECT_EQ(table.stats().misses, 2u);
+  table.clear();
+  EXPECT_EQ(table.memory_bytes(), 0u);
+
+  table.insert(tuple(1000), t0);
+  // The slot array plus one interned tuple and its LRU node.
+  const std::size_t slot_bytes = table.slot_count() * sizeof(std::uint32_t);
+  EXPECT_EQ(table.slot_count(), 16u);
+  EXPECT_GT(table.memory_bytes(), slot_bytes);
+  EXPECT_LT(table.memory_bytes(), slot_bytes + 64);
+  EXPECT_TRUE(table.lookup(tuple(1000), t0));
+
+  // Insert, hit and expiry work after a clear().
+  table.clear();
+  EXPECT_EQ(table.size(), 0u);
+  EXPECT_FALSE(table.lookup(tuple(1000), t0));
+  table.insert(tuple(1002), t0);
+  EXPECT_TRUE(table.lookup(tuple(1002).reversed(), t0 + sim::Duration::seconds(5)));
+  EXPECT_FALSE(table.lookup(tuple(1002), t0 + sim::Duration::seconds(16)));
+  EXPECT_EQ(table.stats().expirations, 1u);
+
+  // LRU churn past the bound: the footprint stops at the bound.
+  for (std::uint16_t p = 0; p < 64; ++p) table.insert(tuple(2000 + p), t0);
+  EXPECT_EQ(table.size(), 4u);
+  const std::size_t full = table.memory_bytes();
+  for (std::uint16_t p = 0; p < 4096; ++p) table.insert(tuple(3000 + p), t0);
+  EXPECT_GT(table.stats().evictions, 4000u);
+  EXPECT_EQ(table.memory_bytes(), full);
+  EXPECT_LT(full, slot_bytes + 4 * 64);
+}
+
 // Integration: a stateful EFW profile erases the depth penalty for
 // legitimate traffic.
 TEST(FlowStateIntegration, StatefulNicIsDepthInsensitive) {

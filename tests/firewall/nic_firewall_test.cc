@@ -306,5 +306,62 @@ TEST(FirewallNic, FramesForOtherMacsIgnored) {
   EXPECT_EQ(h.nic.fw_stats().frames_processed, 0u);
 }
 
+// The paper's cards are linear and stateless: neither flow table is ever
+// used, so neither is ever allocated. Each table is allocated by the first
+// frame that needs it.
+TEST(FirewallNic, LinearStatelessCardHoldsNoFlowTables) {
+  constexpr const char* kPolicy = "default deny\nallow udp from any to any port 80\n";
+  for (const auto& profile : {efw_profile(), adf_profile()}) {
+    SCOPED_TRACE(profile.name);
+    Harness h(profile);
+    h.from_wire(udp_frame(1, 80));
+    h.sim.run();
+    h.install(kPolicy);
+    h.from_wire(udp_frame(1, 80));
+    h.from_wire(udp_frame(2, 81));
+    h.sim.run();
+    h.nic.restart();
+    h.from_wire(udp_frame(3, 80));
+    h.sim.run();
+    EXPECT_EQ(h.host_side.frames.size(), 3u);
+    EXPECT_EQ(h.nic.fw_stats().rx_denied, 1u);
+    EXPECT_EQ(h.nic.flow_cache().memory_bytes(), 0u);
+    EXPECT_EQ(h.nic.flow_states().memory_bytes(), 0u);
+    // What the card does hold: two rules, an empty ring queue, its name.
+    EXPECT_LT(h.nic.memory_bytes(), 1024u);
+  }
+
+  {
+    SCOPED_TRACE("stateful");
+    auto profile = efw_profile();
+    profile.stateful = true;
+    Harness h(profile);
+    h.install(kPolicy);
+    h.from_wire(udp_frame(1, 81));  // denied: no state
+    h.sim.run();
+    EXPECT_EQ(h.nic.flow_states().memory_bytes(), 0u);
+    h.from_wire(udp_frame(1, 80));
+    h.sim.run();
+    EXPECT_EQ(h.nic.flow_states().size(), 1u);
+    EXPECT_GE(h.nic.flow_states().memory_bytes(),
+              h.nic.flow_states().slot_count() * sizeof(std::uint32_t));
+    EXPECT_EQ(h.nic.flow_cache().memory_bytes(), 0u);
+  }
+
+  {
+    SCOPED_TRACE("compiled+flowcache");
+    Harness h(with_backend(adf_profile(), MatchBackend::kCompiledFlowCache));
+    h.install(kPolicy);
+    EXPECT_EQ(h.nic.flow_cache().memory_bytes(), 0u);
+    h.from_wire(udp_frame(1, 81));  // deny verdicts are cached too
+    h.sim.run();
+    EXPECT_EQ(h.nic.fw_stats().rx_denied, 1u);
+    EXPECT_EQ(h.nic.flow_cache().memory_bytes(),
+              h.nic.flow_cache().capacity() * FlowCache::slot_bytes());
+    EXPECT_EQ(h.nic.flow_states().memory_bytes(), 0u);
+    EXPECT_GT(h.nic.memory_bytes(), h.nic.flow_cache().memory_bytes());
+  }
+}
+
 }  // namespace
 }  // namespace barb::firewall

@@ -24,9 +24,11 @@ struct Fleet {
   std::vector<net::Ipv4Address> agent_ips;
   std::vector<std::unique_ptr<PolicyAgent>> agents;
 
-  explicit Fleet(int num_agents) : sim(1), key(32, 0x5c) {
+  // Hosts 1..num_agents run agents; `raw_hosts` more hosts follow with no
+  // agent, for tests that speak the protocol by hand.
+  explicit Fleet(int num_agents, int raw_hosts = 0) : sim(1), key(32, 0x5c) {
     core::LeafSpineSpec spec;
-    spec.hosts = num_agents + 1;  // host 0 = server (plain NIC)
+    spec.hosts = num_agents + 1 + raw_hosts;  // host 0 = server (plain NIC)
     spec.hosts_per_leaf = 8;
     spec.spines = 2;
     spec.nic_for = [](int index) {
@@ -151,6 +153,52 @@ TEST(PolicyFanout, StaggeredStartDelaysFirstConnect) {
   EXPECT_EQ(fleet.server->count_connected(), 0u);
   fleet.sim.run_for(sim::Duration::seconds(1));
   EXPECT_EQ(fleet.server->count_connected(), 3u);
+}
+
+// A client holding the deployment key can still send garbage acks: the
+// server must count only a well-formed ack for a version it pushed.
+TEST(PolicyFanout, MalformedAcksAreIgnored) {
+  Fleet fleet(1, /*raw_hosts=*/1);
+  stack::Host& raw = fleet.fabric->host(2);
+  fleet.server->set_policy(raw.ip(), "default allow\n");  // pushed at hello
+  ASSERT_EQ(fleet.server->policy_version(raw.ip()), 1u);
+
+  std::uint64_t seq = 1;
+  auto conn = raw.tcp_connect(fleet.fabric->host(kServerHost).ip(),
+                              PolicyServer::kDefaultPort);
+  auto send = [&](PolicyMsgType type, std::string body) {
+    PolicyMessage msg;
+    msg.type = type;
+    msg.seq = seq++;
+    msg.body = std::move(body);
+    conn->send(encode_policy_message(msg, fleet.key));
+  };
+  conn->on_connected = [&] { send(PolicyMsgType::kHello, "host " + raw.ip().to_string()); };
+  fleet.sim.run_for(sim::Duration::milliseconds(200));
+  const auto status = [&] { return fleet.server->agents().at(raw.ip()); };
+  ASSERT_TRUE(status().connected);
+  ASSERT_EQ(status().pushed_version, 1u);
+  const std::uint64_t acks_before = fleet.server->stats().acks;
+
+  for (const char* bad : {"version -1", "version 1junk", "version 2", "version ",
+                          "version 18446744073709551616", "ver 1"}) {
+    SCOPED_TRACE(bad);
+    send(PolicyMsgType::kAck, bad);
+    fleet.sim.run_for(sim::Duration::milliseconds(50));
+    EXPECT_EQ(status().acked_version, 0u);
+    EXPECT_EQ(fleet.server->stats().acks, acks_before);
+  }
+  // With "version -1" accepted as 2^64-1 this would count the raw host as
+  // having acked every version.
+  EXPECT_EQ(fleet.server->count_acked_at_least(1), 0u);
+
+  send(PolicyMsgType::kAck, "version 1");
+  fleet.sim.run_for(sim::Duration::milliseconds(50));
+  EXPECT_EQ(status().acked_version, 1u);
+  EXPECT_EQ(fleet.server->stats().acks, acks_before + 1);
+  EXPECT_EQ(fleet.server->count_acked_at_least(1), 1u);
+  EXPECT_EQ(fleet.server->count_acked_at_least(2), 0u);
+  conn->reset_callbacks();
 }
 
 }  // namespace

@@ -128,5 +128,31 @@ TEST(SoftwareFirewall, BothDirectionsShareTheCpu) {
   EXPECT_EQ(sim.now().ns(), 20000);
 }
 
+// The flow cache is allocated by the first packet that needs it: never on
+// the linear backend, at the first classification on compiled+flowcache.
+TEST(SoftwareFirewall, FlowCacheAllocatedOnFirstUse) {
+  sim::Simulation sim;
+  SoftwareFirewallConfig cached_cfg;
+  cached_cfg.backend = MatchBackend::kCompiledFlowCache;
+  SoftwareFirewall linear(sim);
+  SoftwareFirewall cached(sim, cached_cfg);
+  int passed = 0;
+  for (SoftwareFirewall* fw : {&linear, &cached}) {
+    auto parsed = parse_policy("default deny\nallow udp from any to any port 80\n");
+    ASSERT_TRUE(parsed.ok());
+    fw->install_rule_set(std::move(*parsed.rule_set));
+    EXPECT_EQ(fw->flow_cache().memory_bytes(), 0u);
+    fw->filter(stack::FilterDirection::kInput, udp_packet(80),
+               [&](net::Packet) { ++passed; });
+  }
+  sim.run();
+  EXPECT_EQ(passed, 2);
+  EXPECT_EQ(linear.flow_cache().memory_bytes(), 0u);
+  EXPECT_LT(linear.memory_bytes(), 1024u);
+  EXPECT_EQ(cached.flow_cache().memory_bytes(),
+            cached.flow_cache().capacity() * FlowCache::slot_bytes());
+  EXPECT_GT(cached.memory_bytes(), cached.flow_cache().memory_bytes());
+}
+
 }  // namespace
 }  // namespace barb::firewall
