@@ -24,7 +24,7 @@ export UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1"
 export TSAN_OPTIONS="halt_on_error=1:second_deadlock_stack=1"
 
 echo "=== fuzz under ASan/UBSan: ${SEEDS} seeds from ${BASE} ==="
-cmake -B build-asan -S . -DASAN=ON
+cmake -B build-asan -S . -DASAN=ON -DBARB_WERROR=ON
 cmake --build build-asan -j "$(nproc)" --target fuzz_main
 build-asan/tests/fuzz_main --seeds "$SEEDS" --base "$BASE"
 echo "=== link-fault regression corpus under ASan/UBSan ==="
@@ -39,7 +39,7 @@ build-asan/tests/fuzz_main --family policy \
   --seed-file tests/data/policy_fuzz_seeds.txt
 
 echo "=== fuzz under TSan: 12 seeds from ${BASE}, --jobs 4 ==="
-cmake -B build-tsan -S . -DTSAN=ON
+cmake -B build-tsan -S . -DTSAN=ON -DBARB_WERROR=ON
 cmake --build build-tsan -j "$(nproc)" --target fuzz_main
 build-tsan/tests/fuzz_main --seeds 12 --base "$BASE" --jobs 4
 

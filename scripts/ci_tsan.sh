@@ -18,7 +18,7 @@ BUILD_DIR="${1:-build-tsan}"
 
 export TSAN_OPTIONS="halt_on_error=1:second_deadlock_stack=1"
 
-cmake -B "$BUILD_DIR" -S . -DTSAN=ON
+cmake -B "$BUILD_DIR" -S . -DTSAN=ON -DBARB_WERROR=ON
 cmake --build "$BUILD_DIR" -j "$(nproc)" \
   --target core_sweep_runner_test net_buffer_pool_stress_test \
   firewall_classifier_test firewall_flow_cache_test fleet_goodput fuzz_main

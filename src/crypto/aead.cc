@@ -36,12 +36,29 @@ Poly1305::Tag compute_tag(const Poly1305::Key& pk, std::span<const std::uint8_t>
 
 }  // namespace
 
+Aead::Tag Aead::seal_in_place(const Key& key, const Nonce& nonce,
+                              std::span<const std::uint8_t> aad,
+                              std::span<std::uint8_t> data) {
+  ChaCha20::xor_stream(key, nonce, 1, data);
+  return compute_tag(poly_key_for(key, nonce), aad, data);
+}
+
+bool Aead::open_in_place(const Key& key, const Nonce& nonce,
+                         std::span<const std::uint8_t> aad, std::span<std::uint8_t> data,
+                         std::span<const std::uint8_t, kTagSize> tag) {
+  const auto expected = compute_tag(poly_key_for(key, nonce), aad, data);
+  if (!constant_time_equal(expected, tag)) return false;
+  ChaCha20::xor_stream(key, nonce, 1, data);
+  return true;
+}
+
 std::vector<std::uint8_t> Aead::seal(const Key& key, const Nonce& nonce,
                                      std::span<const std::uint8_t> aad,
                                      std::span<const std::uint8_t> plaintext) {
-  std::vector<std::uint8_t> out(plaintext.begin(), plaintext.end());
-  ChaCha20::xor_stream(key, nonce, 1, out);
-  const auto tag = compute_tag(poly_key_for(key, nonce), aad, out);
+  std::vector<std::uint8_t> out;
+  out.reserve(plaintext.size() + kTagSize);
+  out.assign(plaintext.begin(), plaintext.end());
+  const Tag tag = seal_in_place(key, nonce, aad, out);
   out.insert(out.end(), tag.begin(), tag.end());
   return out;
 }
@@ -50,12 +67,8 @@ std::optional<std::vector<std::uint8_t>> Aead::open(
     const Key& key, const Nonce& nonce, std::span<const std::uint8_t> aad,
     std::span<const std::uint8_t> sealed) {
   if (sealed.size() < kTagSize) return std::nullopt;
-  const auto ciphertext = sealed.first(sealed.size() - kTagSize);
-  const auto tag = sealed.last(kTagSize);
-  const auto expected = compute_tag(poly_key_for(key, nonce), aad, ciphertext);
-  if (!constant_time_equal(expected, tag)) return std::nullopt;
-  std::vector<std::uint8_t> out(ciphertext.begin(), ciphertext.end());
-  ChaCha20::xor_stream(key, nonce, 1, out);
+  std::vector<std::uint8_t> out(sealed.begin(), sealed.end() - kTagSize);
+  if (!open_in_place(key, nonce, aad, out, sealed.last<kTagSize>())) return std::nullopt;
   return out;
 }
 

@@ -22,6 +22,18 @@ class Aead {
 
   using Key = ChaCha20::Key;
   using Nonce = ChaCha20::Nonce;
+  using Tag = Poly1305::Tag;
+
+  // Encrypts `data` in place and returns its tag. `aad` must not overlap
+  // `data`.
+  static Tag seal_in_place(const Key& key, const Nonce& nonce,
+                           std::span<const std::uint8_t> aad, std::span<std::uint8_t> data);
+
+  // Verifies `tag` over the ciphertext in `data` and, only if it verifies,
+  // decrypts `data` in place. On failure `data` is left unchanged.
+  static bool open_in_place(const Key& key, const Nonce& nonce,
+                            std::span<const std::uint8_t> aad, std::span<std::uint8_t> data,
+                            std::span<const std::uint8_t, kTagSize> tag);
 
   // Returns ciphertext || 16-byte tag.
   static std::vector<std::uint8_t> seal(const Key& key, const Nonce& nonce,

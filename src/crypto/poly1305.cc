@@ -2,74 +2,69 @@
 
 #include <cstring>
 
+#include "util/byte_io.h"
+
 namespace barb::crypto {
 
 namespace {
 
-inline std::uint32_t load_le32(const std::uint8_t* p) {
-  return static_cast<std::uint32_t>(p[0]) | static_cast<std::uint32_t>(p[1]) << 8 |
-         static_cast<std::uint32_t>(p[2]) << 16 | static_cast<std::uint32_t>(p[3]) << 24;
-}
+using u64 = std::uint64_t;
+using u128 = unsigned __int128;
+
+constexpr u64 kMask44 = 0xfffffffffff;
+constexpr u64 kMask42 = 0x3ffffffffff;
 
 }  // namespace
 
 Poly1305::Poly1305(const Key& key) {
-  // r is clamped per the RFC; stored as five 26-bit limbs.
-  r_[0] = load_le32(key.data() + 0) & 0x3ffffff;
-  r_[1] = (load_le32(key.data() + 3) >> 2) & 0x3ffff03;
-  r_[2] = (load_le32(key.data() + 6) >> 4) & 0x3ffc0ff;
-  r_[3] = (load_le32(key.data() + 9) >> 6) & 0x3f03fff;
-  r_[4] = (load_le32(key.data() + 12) >> 8) & 0x00fffff;
-  for (int i = 0; i < 4; ++i) pad_[i] = load_le32(key.data() + 16 + 4 * i);
+  // r is clamped per the RFC; stored as 44/44/42-bit limbs.
+  const u64 t0 = load_le64(key.data()), t1 = load_le64(key.data() + 8);
+  r_[0] = t0 & 0xffc0fffffff;
+  r_[1] = ((t0 >> 44) | (t1 << 20)) & 0xfffffc0ffff;
+  r_[2] = (t1 >> 24) & 0x00ffffffc0f;
+  pad_[0] = load_le64(key.data() + 16);
+  pad_[1] = load_le64(key.data() + 24);
 }
 
-void Poly1305::process_block(const std::uint8_t* block, std::uint32_t hibit) {
-  const std::uint32_t r0 = r_[0], r1 = r_[1], r2 = r_[2], r3 = r_[3], r4 = r_[4];
-  const std::uint32_t s1 = r1 * 5, s2 = r2 * 5, s3 = r3 * 5, s4 = r4 * 5;
+void Poly1305::process_blocks(const std::uint8_t* m, std::size_t nblocks, u64 hibit) {
+  const u64 r0 = r_[0], r1 = r_[1], r2 = r_[2];
+  // 2^130 = 5 (mod p), and the limbs above 2^130 are shifted by 2 bits.
+  const u64 s1 = r1 * (5 << 2), s2 = r2 * (5 << 2);
+  u64 h0 = h_[0], h1 = h_[1], h2 = h_[2];
 
-  std::uint32_t h0 = h_[0], h1 = h_[1], h2 = h_[2], h3 = h_[3], h4 = h_[4];
+  for (; nblocks > 0; --nblocks, m += 16) {
+    const u64 t0 = load_le64(m), t1 = load_le64(m + 8);
+    h0 += t0 & kMask44;
+    h1 += ((t0 >> 44) | (t1 << 20)) & kMask44;
+    h2 += ((t1 >> 24) & kMask42) | hibit;
 
-  h0 += load_le32(block + 0) & 0x3ffffff;
-  h1 += (load_le32(block + 3) >> 2) & 0x3ffffff;
-  h2 += (load_le32(block + 6) >> 4) & 0x3ffffff;
-  h3 += (load_le32(block + 9) >> 6) & 0x3ffffff;
-  h4 += (load_le32(block + 12) >> 8) | hibit;
+    const u128 d0 = static_cast<u128>(h0) * r0 + static_cast<u128>(h1) * s2 +
+                    static_cast<u128>(h2) * s1;
+    u128 d1 = static_cast<u128>(h0) * r1 + static_cast<u128>(h1) * r0 +
+              static_cast<u128>(h2) * s2;
+    u128 d2 = static_cast<u128>(h0) * r2 + static_cast<u128>(h1) * r1 +
+              static_cast<u128>(h2) * r0;
 
-  using u64 = std::uint64_t;
-  u64 d0 = static_cast<u64>(h0) * r0 + static_cast<u64>(h1) * s4 +
-           static_cast<u64>(h2) * s3 + static_cast<u64>(h3) * s2 +
-           static_cast<u64>(h4) * s1;
-  u64 d1 = static_cast<u64>(h0) * r1 + static_cast<u64>(h1) * r0 +
-           static_cast<u64>(h2) * s4 + static_cast<u64>(h3) * s3 +
-           static_cast<u64>(h4) * s2;
-  u64 d2 = static_cast<u64>(h0) * r2 + static_cast<u64>(h1) * r1 +
-           static_cast<u64>(h2) * r0 + static_cast<u64>(h3) * s4 +
-           static_cast<u64>(h4) * s3;
-  u64 d3 = static_cast<u64>(h0) * r3 + static_cast<u64>(h1) * r2 +
-           static_cast<u64>(h2) * r1 + static_cast<u64>(h3) * r0 +
-           static_cast<u64>(h4) * s4;
-  u64 d4 = static_cast<u64>(h0) * r4 + static_cast<u64>(h1) * r3 +
-           static_cast<u64>(h2) * r2 + static_cast<u64>(h3) * r1 +
-           static_cast<u64>(h4) * r0;
+    u64 c = static_cast<u64>(d0 >> 44);
+    h0 = static_cast<u64>(d0) & kMask44;
+    d1 += c;
+    c = static_cast<u64>(d1 >> 44);
+    h1 = static_cast<u64>(d1) & kMask44;
+    d2 += c;
+    c = static_cast<u64>(d2 >> 42);
+    h2 = static_cast<u64>(d2) & kMask42;
+    h0 += c * 5;
+    c = h0 >> 44;
+    h0 &= kMask44;
+    h1 += c;
+  }
 
-  std::uint32_t c;
-  c = static_cast<std::uint32_t>(d0 >> 26); h0 = static_cast<std::uint32_t>(d0) & 0x3ffffff;
-  d1 += c;
-  c = static_cast<std::uint32_t>(d1 >> 26); h1 = static_cast<std::uint32_t>(d1) & 0x3ffffff;
-  d2 += c;
-  c = static_cast<std::uint32_t>(d2 >> 26); h2 = static_cast<std::uint32_t>(d2) & 0x3ffffff;
-  d3 += c;
-  c = static_cast<std::uint32_t>(d3 >> 26); h3 = static_cast<std::uint32_t>(d3) & 0x3ffffff;
-  d4 += c;
-  c = static_cast<std::uint32_t>(d4 >> 26); h4 = static_cast<std::uint32_t>(d4) & 0x3ffffff;
-  h0 += c * 5;
-  c = h0 >> 26; h0 &= 0x3ffffff;
-  h1 += c;
-
-  h_[0] = h0; h_[1] = h1; h_[2] = h2; h_[3] = h3; h_[4] = h4;
+  h_[0] = h0; h_[1] = h1; h_[2] = h2;
 }
 
 void Poly1305::update(std::span<const std::uint8_t> data) {
+  constexpr u64 kHibit = u64{1} << 40;  // 2^128 in the top limb
+  if (data.empty()) return;
   std::size_t offset = 0;
   if (buffer_len_ > 0) {
     const std::size_t take = std::min(std::size_t{16} - buffer_len_, data.size());
@@ -77,14 +72,13 @@ void Poly1305::update(std::span<const std::uint8_t> data) {
     buffer_len_ += take;
     offset = take;
     if (buffer_len_ == 16) {
-      process_block(buffer_.data(), std::uint32_t{1} << 24);
+      process_blocks(buffer_.data(), 1, kHibit);
       buffer_len_ = 0;
     }
   }
-  while (offset + 16 <= data.size()) {
-    process_block(data.data() + offset, std::uint32_t{1} << 24);
-    offset += 16;
-  }
+  const std::size_t nblocks = (data.size() - offset) / 16;
+  process_blocks(data.data() + offset, nblocks, kHibit);
+  offset += 16 * nblocks;
   if (offset < data.size()) {
     buffer_len_ = data.size() - offset;
     std::memcpy(buffer_.data(), data.data() + offset, buffer_len_);
@@ -97,57 +91,40 @@ Poly1305::Tag Poly1305::finalize() {
     std::uint8_t block[16] = {};
     std::memcpy(block, buffer_.data(), buffer_len_);
     block[buffer_len_] = 1;
-    process_block(block, 0);
+    process_blocks(block, 1, 0);
     buffer_len_ = 0;
   }
 
   // Full carry propagation.
-  std::uint32_t h0 = h_[0], h1 = h_[1], h2 = h_[2], h3 = h_[3], h4 = h_[4];
-  std::uint32_t c;
-  c = h1 >> 26; h1 &= 0x3ffffff; h2 += c;
-  c = h2 >> 26; h2 &= 0x3ffffff; h3 += c;
-  c = h3 >> 26; h3 &= 0x3ffffff; h4 += c;
-  c = h4 >> 26; h4 &= 0x3ffffff; h0 += c * 5;
-  c = h0 >> 26; h0 &= 0x3ffffff; h1 += c;
+  u64 h0 = h_[0], h1 = h_[1], h2 = h_[2];
+  u64 c;
+  c = h1 >> 44; h1 &= kMask44;
+  h2 += c; c = h2 >> 42; h2 &= kMask42;
+  h0 += c * 5; c = h0 >> 44; h0 &= kMask44;
+  h1 += c; c = h1 >> 44; h1 &= kMask44;
+  h2 += c; c = h2 >> 42; h2 &= kMask42;
+  h0 += c * 5; c = h0 >> 44; h0 &= kMask44;
+  h1 += c;
 
   // Compute h + -p and select it if h >= p.
-  std::uint32_t g0 = h0 + 5; c = g0 >> 26; g0 &= 0x3ffffff;
-  std::uint32_t g1 = h1 + c; c = g1 >> 26; g1 &= 0x3ffffff;
-  std::uint32_t g2 = h2 + c; c = g2 >> 26; g2 &= 0x3ffffff;
-  std::uint32_t g3 = h3 + c; c = g3 >> 26; g3 &= 0x3ffffff;
-  std::uint32_t g4 = h4 + c - (std::uint32_t{1} << 26);
+  u64 g0 = h0 + 5; c = g0 >> 44; g0 &= kMask44;
+  u64 g1 = h1 + c; c = g1 >> 44; g1 &= kMask44;
+  u64 g2 = h2 + c - (u64{1} << 42);
 
-  const std::uint32_t mask = (g4 >> 31) - 1;  // all-ones if h >= p
+  const u64 mask = (g2 >> 63) - 1;  // all-ones if h >= p
   h0 = (h0 & ~mask) | (g0 & mask);
   h1 = (h1 & ~mask) | (g1 & mask);
   h2 = (h2 & ~mask) | (g2 & mask);
-  h3 = (h3 & ~mask) | (g3 & mask);
-  h4 = (h4 & ~mask) | (g4 & mask);
 
-  // h %= 2^128, then tag = (h + pad) mod 2^128 in little-endian.
-  const std::uint32_t t0 = h0 | (h1 << 26);
-  const std::uint32_t t1 = (h1 >> 6) | (h2 << 20);
-  const std::uint32_t t2 = (h2 >> 12) | (h3 << 14);
-  const std::uint32_t t3 = (h3 >> 18) | (h4 << 8);
-
-  std::uint64_t f;
-  std::uint32_t out32[4];
-  f = static_cast<std::uint64_t>(t0) + pad_[0];
-  out32[0] = static_cast<std::uint32_t>(f);
-  f = static_cast<std::uint64_t>(t1) + pad_[1] + (f >> 32);
-  out32[1] = static_cast<std::uint32_t>(f);
-  f = static_cast<std::uint64_t>(t2) + pad_[2] + (f >> 32);
-  out32[2] = static_cast<std::uint32_t>(f);
-  f = static_cast<std::uint64_t>(t3) + pad_[3] + (f >> 32);
-  out32[3] = static_cast<std::uint32_t>(f);
+  // tag = (h + pad) mod 2^128 in little-endian.
+  const u64 t0 = pad_[0], t1 = pad_[1];
+  h0 += t0 & kMask44; c = h0 >> 44; h0 &= kMask44;
+  h1 += (((t0 >> 44) | (t1 << 20)) & kMask44) + c; c = h1 >> 44; h1 &= kMask44;
+  h2 += ((t1 >> 24) & kMask42) + c; h2 &= kMask42;
 
   Tag tag;
-  for (int i = 0; i < 4; ++i) {
-    tag[4 * static_cast<std::size_t>(i)] = static_cast<std::uint8_t>(out32[i]);
-    tag[4 * static_cast<std::size_t>(i) + 1] = static_cast<std::uint8_t>(out32[i] >> 8);
-    tag[4 * static_cast<std::size_t>(i) + 2] = static_cast<std::uint8_t>(out32[i] >> 16);
-    tag[4 * static_cast<std::size_t>(i) + 3] = static_cast<std::uint8_t>(out32[i] >> 24);
-  }
+  store_le64(tag.data(), h0 | (h1 << 44));
+  store_le64(tag.data() + 8, (h1 >> 20) | (h2 << 24));
   return tag;
 }
 

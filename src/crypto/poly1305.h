@@ -27,12 +27,14 @@ class Poly1305 {
   }
 
  private:
-  void process_block(const std::uint8_t* block, std::uint32_t hibit);
+  // Absorbs `nblocks` 16-byte blocks; `hibit` is 2^128 in the top limb for
+  // a full block and 0 for the padded final one.
+  void process_blocks(const std::uint8_t* m, std::size_t nblocks, std::uint64_t hibit);
 
-  // 26-bit limb representation (poly1305-donna style).
-  std::uint32_t r_[5];
-  std::uint32_t h_[5] = {};
-  std::uint32_t pad_[4];
+  // Three 44/44/42-bit limbs with 128-bit products (poly1305-donna-64).
+  std::uint64_t r_[3];
+  std::uint64_t h_[3] = {};
+  std::uint64_t pad_[2];
   std::array<std::uint8_t, 16> buffer_;
   std::size_t buffer_len_ = 0;
 };

@@ -99,8 +99,8 @@ class FloodGuard {
     TokenBucket bucket;
     std::list<std::uint32_t>::iterator lru_position;
     std::uint64_t violations = 0;
-    sim::TimePoint violation_window_start;
-    sim::TimePoint penalized_until;
+    sim::TimePoint violation_window_start{};
+    sim::TimePoint penalized_until{};
   };
 
   void apply_rates();

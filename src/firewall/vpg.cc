@@ -79,14 +79,10 @@ bool VpgTable::encapsulate_into(std::uint32_t vpg_id,
   vh.orig_protocol = ip.protocol;
   vh.payload_len =
       static_cast<std::uint16_t>(inner.size() + crypto::Aead::kTagSize);
+  const auto aad = vh.to_bytes();
 
-  std::vector<std::uint8_t> aad;
-  ByteWriter aw(aad);
-  vh.serialize(aw);
-
-  const auto sealed =
-      crypto::Aead::seal(g.key, nonce_for(ip.src.value(), vh.seq), aad, inner);
-
+  // Ethernet | IPv4 | VPG header | plaintext, then seal the plaintext where
+  // it lies and append the tag.
   out.reserve(net::EthernetHeader::kSize + net::Ipv4Header::kSize + new_payload);
   ByteWriter w(out);
   w.bytes(frame.first(net::EthernetHeader::kSize));  // Ethernet unchanged
@@ -95,8 +91,12 @@ bool VpgTable::encapsulate_into(std::uint32_t vpg_id,
   new_ip.protocol = static_cast<std::uint8_t>(net::IpProtocol::kVpg);
   new_ip.total_length = static_cast<std::uint16_t>(net::Ipv4Header::kSize + new_payload);
   new_ip.serialize(w);
-  w.bytes(aad);  // the VPG header bytes
-  w.bytes(sealed);
+  w.bytes(aad);
+  const std::size_t body = out.size();
+  w.bytes(inner);
+  const auto tag = crypto::Aead::seal_in_place(g.key, nonce_for(ip.src.value(), vh.seq),
+                                               aad, std::span(out).subspan(body));
+  w.bytes(tag);
   if (out.size() < net::kEthernetMinFrameNoFcs) {
     w.zeros(net::kEthernetMinFrameNoFcs - out.size());
   }
@@ -116,14 +116,28 @@ bool VpgTable::decapsulate_into(std::span<const std::uint8_t> frame,
   }
   Group& g = it->second;
   const net::VpgHeader& vh = *view.vpg;
+  const auto sealed = view.l4_payload;
+  if (sealed.size() < crypto::Aead::kTagSize) {
+    ++stats_.auth_failures;
+    return false;
+  }
+  const std::size_t plain_size = sealed.size() - crypto::Aead::kTagSize;
 
-  std::vector<std::uint8_t> aad;
-  ByteWriter aw(aad);
-  vh.serialize(aw);
-
-  auto opened = crypto::Aead::open(g.key, nonce_for(view.ip->src.value(), vh.seq),
-                                   aad, view.l4_payload);
-  if (!opened) {
+  // Ethernet | IPv4 | ciphertext, then open the ciphertext where it lies.
+  // The AAD is the re-serialized header (reserved byte zero), not the raw
+  // header bytes.
+  out.reserve(net::EthernetHeader::kSize + net::Ipv4Header::kSize + plain_size);
+  ByteWriter w(out);
+  w.bytes(frame.first(net::EthernetHeader::kSize));
+  net::Ipv4Header new_ip = *view.ip;
+  new_ip.protocol = vh.orig_protocol;
+  new_ip.total_length = static_cast<std::uint16_t>(net::Ipv4Header::kSize + plain_size);
+  new_ip.serialize(w);
+  const std::size_t body = out.size();
+  w.bytes(sealed.first(plain_size));
+  if (!crypto::Aead::open_in_place(g.key, nonce_for(view.ip->src.value(), vh.seq),
+                                   vh.to_bytes(), std::span(out).subspan(body),
+                                   sealed.last<crypto::Aead::kTagSize>())) {
     ++stats_.auth_failures;
     return false;
   }
@@ -133,16 +147,6 @@ bool VpgTable::decapsulate_into(std::span<const std::uint8_t> frame,
     ++stats_.replays_dropped;
     return false;
   }
-
-  out.reserve(net::EthernetHeader::kSize + net::Ipv4Header::kSize + opened->size());
-  ByteWriter w(out);
-  w.bytes(frame.first(net::EthernetHeader::kSize));
-  net::Ipv4Header new_ip = *view.ip;
-  new_ip.protocol = vh.orig_protocol;
-  new_ip.total_length =
-      static_cast<std::uint16_t>(net::Ipv4Header::kSize + opened->size());
-  new_ip.serialize(w);
-  w.bytes(*opened);
   if (out.size() < net::kEthernetMinFrameNoFcs) {
     w.zeros(net::kEthernetMinFrameNoFcs - out.size());
   }

@@ -8,6 +8,7 @@
 // protection at the receiver.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <optional>
 
@@ -26,12 +27,20 @@ struct VpgHeader {
   std::uint8_t orig_protocol = 0;
   std::uint16_t payload_len = 0;  // sealed payload length (incl. tag)
 
+  // The wire bytes; the reserved byte is always written as zero. VPG frames
+  // authenticate these bytes as AAD.
+  std::array<std::uint8_t, kSize> to_bytes() const {
+    std::array<std::uint8_t, kSize> b{};
+    for (std::size_t i = 0; i < 4; ++i) b[i] = static_cast<std::uint8_t>(vpg_id >> (24 - 8 * i));
+    for (std::size_t i = 0; i < 8; ++i) b[4 + i] = static_cast<std::uint8_t>(seq >> (56 - 8 * i));
+    b[12] = orig_protocol;
+    b[14] = static_cast<std::uint8_t>(payload_len >> 8);
+    b[15] = static_cast<std::uint8_t>(payload_len);
+    return b;
+  }
+
   void serialize(ByteWriter& w) const {
-    w.u32(vpg_id);
-    w.u64(seq);
-    w.u8(orig_protocol);
-    w.u8(0);
-    w.u16(payload_len);
+    for (const std::uint8_t b : to_bytes()) w.u8(b);
   }
 
   static std::optional<VpgHeader> parse(ByteReader& r) {

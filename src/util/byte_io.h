@@ -102,6 +102,33 @@ class ByteReader {
   bool ok_ = true;
 };
 
+// Little-endian loads and stores for the byte kernels (checksum, ChaCha20,
+// Poly1305). The shift-or form is byte-order neutral; GCC merges each into
+// a single load or store at -O2.
+inline std::uint32_t load_le32(const std::uint8_t* p) {
+  return static_cast<std::uint32_t>(p[0]) | static_cast<std::uint32_t>(p[1]) << 8 |
+         static_cast<std::uint32_t>(p[2]) << 16 | static_cast<std::uint32_t>(p[3]) << 24;
+}
+
+inline std::uint64_t load_le64(const std::uint8_t* p) {
+  return static_cast<std::uint64_t>(p[0]) | static_cast<std::uint64_t>(p[1]) << 8 |
+         static_cast<std::uint64_t>(p[2]) << 16 | static_cast<std::uint64_t>(p[3]) << 24 |
+         static_cast<std::uint64_t>(p[4]) << 32 | static_cast<std::uint64_t>(p[5]) << 40 |
+         static_cast<std::uint64_t>(p[6]) << 48 | static_cast<std::uint64_t>(p[7]) << 56;
+}
+
+inline void store_le32(std::uint8_t* p, std::uint32_t v) {
+  p[0] = static_cast<std::uint8_t>(v);
+  p[1] = static_cast<std::uint8_t>(v >> 8);
+  p[2] = static_cast<std::uint8_t>(v >> 16);
+  p[3] = static_cast<std::uint8_t>(v >> 24);
+}
+
+inline void store_le64(std::uint8_t* p, std::uint64_t v) {
+  store_le32(p, static_cast<std::uint32_t>(v));
+  store_le32(p + 4, static_cast<std::uint32_t>(v >> 32));
+}
+
 inline std::string to_hex(std::span<const std::uint8_t> data) {
   static const char* digits = "0123456789abcdef";
   std::string s;

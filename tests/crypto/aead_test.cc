@@ -48,6 +48,43 @@ TEST(Aead, Rfc8439OpenVector) {
   EXPECT_EQ(*opened, pt);
 }
 
+// The same RFC 8439 section 2.8.2 vector, sealed and opened in place.
+TEST(Aead, Rfc8439VectorInPlace) {
+  const auto v = rfc8439_vector();
+  std::vector<std::uint8_t> buf(v.plaintext.begin(), v.plaintext.end());
+  const Aead::Tag tag = Aead::seal_in_place(v.key, v.nonce, v.aad, buf);
+  EXPECT_EQ(to_hex(std::span(buf).first(16)), "d31a8d34648e60db7b86afbc53ef7ec2");
+  EXPECT_EQ(to_hex(tag), "1ae10b594f09e26a7e902ecbd0600691");
+  const std::vector<std::uint8_t> pt(v.plaintext.begin(), v.plaintext.end());
+  const auto sealed = Aead::seal(v.key, v.nonce, v.aad, pt);
+  EXPECT_EQ(to_hex(sealed), to_hex(buf) + to_hex(tag));
+
+  ASSERT_TRUE(Aead::open_in_place(v.key, v.nonce, v.aad, buf, tag));
+  EXPECT_EQ(buf, pt);
+}
+
+// A wrong tag or a flipped ciphertext byte fails and leaves the buffer
+// byte-for-byte as it was.
+TEST(Aead, OpenInPlaceFailureLeavesBufferUnchanged) {
+  const auto v = rfc8439_vector();
+  std::vector<std::uint8_t> ciphertext(v.plaintext.begin(), v.plaintext.end());
+  const Aead::Tag tag = Aead::seal_in_place(v.key, v.nonce, v.aad, ciphertext);
+
+  auto bad_tag = tag;
+  bad_tag[5] ^= 0x01;
+  auto buf = ciphertext;
+  EXPECT_FALSE(Aead::open_in_place(v.key, v.nonce, v.aad, buf, bad_tag));
+  EXPECT_EQ(buf, ciphertext);
+
+  for (std::size_t i : {std::size_t{0}, ciphertext.size() / 2, ciphertext.size() - 1}) {
+    auto flipped = ciphertext;
+    flipped[i] ^= 0x80;
+    const auto before = flipped;
+    EXPECT_FALSE(Aead::open_in_place(v.key, v.nonce, v.aad, flipped, tag)) << "byte " << i;
+    EXPECT_EQ(flipped, before) << "byte " << i;
+  }
+}
+
 TEST(Aead, TamperedCiphertextRejected) {
   const auto v = rfc8439_vector();
   const std::vector<std::uint8_t> pt(v.plaintext.begin(), v.plaintext.end());

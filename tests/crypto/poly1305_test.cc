@@ -2,10 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
 #include "sim/random.h"
+#include "testutil/reference_kernels.h"
 #include "util/byte_io.h"
 
 namespace barb::crypto {
@@ -80,6 +82,63 @@ TEST(Poly1305, BlockBoundaryLengths) {
   // All distinct (length is authenticated via the final 0x01 marker position).
   for (std::size_t i = 0; i < tags.size(); ++i) {
     for (std::size_t j = i + 1; j < tags.size(); ++j) EXPECT_NE(tags[i], tags[j]);
+  }
+}
+
+// r = 1 and two all-0xff blocks leave h = 2 * (2^129 - 1) = 2^130 - 2 before
+// the final reduction, which must subtract p = 2^130 - 5 to leave 3. With
+// s = 2^128 - 1 the tag is 3 + s mod 2^128 = 2. Random inputs essentially
+// never land in [p, 2^130), so only a constructed case checks this step.
+TEST(Poly1305, FinalReductionSubtractsP) {
+  Poly1305::Key key{};
+  key[0] = 1;
+  std::fill(key.begin() + 16, key.end(), 0xff);
+  const std::vector<std::uint8_t> data(32, 0xff);
+  EXPECT_EQ(to_hex(Poly1305::mac(key, data)), "02000000000000000000000000000000");
+  EXPECT_EQ(Poly1305::mac(key, data), testutil::reference::Poly1305::mac(key, data));
+}
+
+// Seeded differential against the 26-bit-limb reference: lengths 0-2048 at
+// start offsets 0-7, all-zero/all-0xff/random messages, each fed through
+// update() in random pieces (empty ones and 16-byte boundaries included).
+// One key in eight is all-0xff: r is all-ones before clamping and s is
+// 2^128 - 1, so all-0xff messages push h past p before the final reduction.
+TEST(Poly1305, MatchesScalarReference) {
+  sim::Random rng(0x90171305);
+  std::vector<std::uint8_t> msg(2048 + 16);
+  for (int trial = 0; trial < 100000; ++trial) {
+    Poly1305::Key key;
+    if (trial % 8 == 0) {
+      key.fill(0xff);
+    } else {
+      for (auto& b : key) b = static_cast<std::uint8_t>(rng.next_u64());
+    }
+    const std::size_t len = rng.uniform(2049), offset = rng.uniform(8);
+    testutil::reference::fill_pattern(rng, msg, trial);
+    const auto data = std::span<const std::uint8_t>(msg).subspan(offset, len);
+
+    Poly1305 got(key);
+    testutil::reference::Poly1305 want(key);
+    std::size_t pos = 0;
+    while (pos < len) {
+      std::size_t n = 0;
+      switch (rng.uniform(4)) {
+        case 0: n = 0; break;
+        case 1: n = 16 * rng.uniform(4); break;
+        case 2: n = 16 - pos % 16; break;  // up to the next 16-byte boundary
+        default: n = rng.uniform(100); break;
+      }
+      n = std::min(n, len - pos);
+      got.update(data.subspan(pos, n));
+      want.update(data.subspan(pos, n));
+      pos += n;
+    }
+    ASSERT_EQ(to_hex(got.finalize()), to_hex(want.finalize()))
+        << "trial " << trial << " len " << len;
+    if (trial % 8 == 1) {
+      ASSERT_EQ(Poly1305::mac(key, data), testutil::reference::Poly1305::mac(key, data))
+          << "trial " << trial;
+    }
   }
 }
 
