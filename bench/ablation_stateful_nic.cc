@@ -22,10 +22,6 @@ int main(int argc, char** argv) {
   telemetry::BenchArtifact artifact("ablation_stateful_nic");
   bench::set_common_meta(artifact, opt);
 
-  auto stateful_profile = firewall::efw_profile();
-  stateful_profile.name = "EFW-stateful";
-  stateful_profile.stateful = true;
-
   // Grid: (depth x {stateless, stateful}) bandwidth points.
   const int depths[] = {1, 16, 32, 48, 64};
   std::vector<std::function<double(const SweepPoint&)>> bw_tasks;
@@ -35,7 +31,7 @@ int main(int argc, char** argv) {
         TestbedConfig cfg;
         cfg.firewall = FirewallKind::kEfw;
         cfg.action_rule_depth = depth;
-        if (stateful) cfg.profile_override = stateful_profile;
+        if (stateful) cfg.match_backend = firewall::MatchBackend::kLinearStateful;
         return measure_available_bandwidth(cfg, bench::with_seed(opt, p.seed)).mean();
       });
     }
@@ -66,7 +62,7 @@ int main(int argc, char** argv) {
       TestbedConfig cfg;
       cfg.firewall = FirewallKind::kEfw;
       cfg.action_rule_depth = 64;
-      if (stateful) cfg.profile_override = stateful_profile;
+      if (stateful) cfg.match_backend = firewall::MatchBackend::kLinearStateful;
       return find_min_dos_flood_rate(cfg, flood, bench::with_seed(opt, p.seed),
                                      search);
     });

@@ -4,8 +4,10 @@
 #   1. ASan + UBSan build, 100 sequential seeds — memory safety and UB over
 #      randomized topologies, rule-sets, traffic mixes, and fault profiles.
 #      Each seed's differential oracle is three-way: naive reference vs the
-#      linear matcher vs the compiled classifier (plus the flow-cache path,
-#      generation-bumped across rule-set rebuilds), VPG frames included.
+#      linear matcher vs the compiled classifier, then one card Matcher per
+#      compiled backend (its flow cache generation-bumped across rule-set
+#      pushes), VPG frames included. Every firewall card in a scenario draws
+#      its matching backend (linear, stateful, compiled, compiled+flowcache).
 #   2. Short TSan pass with --jobs 4 — seeds are shared-nothing simulations
 #      distributed over the sweep-runner thread pool; TSan proves it.
 #

@@ -185,9 +185,10 @@ void Testbed::install_policies() {
   target_policy_ = make_target_policy(config_, addr_);
 
   if (config_.firewall == FirewallKind::kIptables) {
-    firewall::SoftwareFirewallConfig sw_cfg;
-    sw_cfg.backend = config_.match_backend;
-    iptables_ = std::make_unique<firewall::SoftwareFirewall>(sim_, sw_cfg);
+    BARB_ASSERT_MSG(config_.match_backend == firewall::MatchBackend::kLinear,
+                    "the iptables model is linear-only: match_backend applies to "
+                    "firewall cards");
+    iptables_ = std::make_unique<firewall::SoftwareFirewall>(sim_);
     auto parsed = firewall::parse_policy(target_policy_);
     BARB_ASSERT_MSG(parsed.ok(), "generated iptables policy must parse");
     iptables_->install_rule_set(std::move(*parsed.rule_set));

@@ -42,11 +42,13 @@ struct TestbedConfig {
   // Distribute policy through the policy server + agents (slower to settle
   // but exercises the real management path) instead of direct installation.
   bool use_policy_server = false;
-  // Rule-matching backend on the device under test (and the client-side ADF
-  // in VPG mode, and the iptables host filter): `kLinear` is the calibrated
-  // paper-faithful default; the compiled backends are the ROADMAP item 1
-  // counterfactual profiles ("compiled", "compiled+flowcache"). Applied on
-  // top of profile_override when both are set.
+  // Rule-matching backend on the firewall cards: the device under test and,
+  // in VPG mode, the client-side ADF. `kLinear` is the calibrated
+  // paper-faithful default; the others are counterfactual profiles
+  // ("linear+stateful", "compiled", "compiled+flowcache"). Applied on top of
+  // profile_override, whose own match_backend must stay kLinear. The
+  // iptables host filter is linear-only: a non-linear backend with
+  // kIptables aborts.
   firewall::MatchBackend match_backend = firewall::MatchBackend::kLinear;
   // Replaces the standard EFW/ADF device profile on the firewall NICs
   // (ablation studies tweak cost-model parameters through this).

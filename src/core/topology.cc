@@ -30,7 +30,15 @@ std::unique_ptr<stack::Nic> make_nic(sim::Simulation& sim, const HostSpec& spec,
     case FirewallKind::kAdfVpg: {
       auto profile = spec.nic.kind == FirewallKind::kEfw ? firewall::efw_profile()
                                                          : firewall::adf_profile();
-      if (spec.nic.profile_override) profile = *spec.nic.profile_override;
+      if (spec.nic.profile_override) {
+        // NicSpec::backend replaces the override's backend, so one set there
+        // would be silently ignored.
+        BARB_ASSERT_MSG(
+            spec.nic.profile_override->match_backend == firewall::MatchBackend::kLinear,
+            "profile_override must keep the linear backend; set NicSpec::backend "
+            "(TestbedConfig::match_backend) instead");
+        profile = *spec.nic.profile_override;
+      }
       profile = firewall::with_backend(std::move(profile), spec.nic.backend);
       const std::string label =
           spec.nic_label.empty() ? spec.name + "/" + profile.name : spec.nic_label;

@@ -52,7 +52,8 @@ enum class FirewallKind {
 const char* to_string(FirewallKind kind);
 
 // Per-host NIC hardware profile: which firewall model guards the host, with
-// which matching backend and cost-model overrides.
+// which matching backend and cost-model overrides. `backend` is applied on
+// top of `profile_override`, whose own match_backend must stay kLinear.
 struct NicSpec {
   FirewallKind kind = FirewallKind::kNone;
   firewall::MatchBackend backend = firewall::MatchBackend::kLinear;

@@ -9,21 +9,12 @@ namespace barb::firewall {
 
 FirewallNic::FirewallNic(sim::Simulation& sim, net::MacAddress mac, std::string name,
                          DeviceProfile profile)
-    : Nic(sim, mac, std::move(name)),
-      profile_(std::move(profile)),
-      flow_cache_(FlowCacheConfig{profile_.flow_cache_capacity}) {
-  // An unconfigured card passes traffic (the paper's "default allow all").
-  rules_.set_default_action(RuleAction::kAllow);
-  // The compiled structure must always mirror rules_, including the initial
-  // unconfigured (empty, default-allow) policy.
-  if (profile_.match_backend != MatchBackend::kLinear) compiled_.rebuild(rules_);
-}
+    : Nic(sim, mac, std::move(name)), profile_(std::move(profile)), matcher_(profile_) {}
 
 void FirewallNic::restart() {
-  flow_states_.clear();
-  // A reset card loses its cached verdicts (card RAM); the compiled
-  // structure is part of the installed policy and survives.
-  flow_cache_.bump_generation();
+  // A reset card loses its flow state and cached verdicts (card RAM); the
+  // installed policy survives.
+  matcher_.forget_flows();
   locked_ = false;
   deny_window_count_ = 0;
   deny_window_start_ = sim_.now();
@@ -104,39 +95,27 @@ void FirewallNic::start_next() {
   job.management = view != nullptr && is_management_frame(*view);
   job.action = RuleAction::kAllow;
   if (view != nullptr && !job.management) {
-    const auto& tuple = job.pkt.five_tuple();
-    bool state_hit = false;
-    if (profile_.match_backend == MatchBackend::kLinear && profile_.stateful &&
-        tuple && !view->vpg) {
-      service += profile_.state_lookup;
-      state_hit = flow_states_.lookup(*tuple, sim_.now());
-    }
-    if (!state_hit) {
-      const MatchResult mr = classify(*view, &service);
-      fwstats_.rules_traversed += static_cast<std::uint64_t>(mr.rules_traversed);
-      job.action = mr.action;
-      job.vpg_id = mr.vpg_id;
-      if (mr.action == RuleAction::kVpg) {
-        // Crypto runs over the sealed payload: the existing sealed bytes for
-        // inbound VPG frames, payload + AEAD tag for outbound. Crypto cost is
-        // per frame, so a flow-cache hit on a VPG verdict still pays it.
-        const std::size_t crypto_bytes =
-            view->vpg ? view->l4_payload.size()
-                      : view->l3_payload.size() + crypto::Aead::kTagSize;
-        const sim::Duration one_pass =
-            profile_.vpg_setup +
-            profile_.vpg_per_byte * static_cast<std::int64_t>(crypto_bytes);
-        // Decrypt-always ablation: a naive matcher attempts decryption at
-        // every VPG rule it walks past, not just the matching one.
-        const int passes = (profile_.vpg_decrypt_always && view->vpg)
-                               ? std::max(1, mr.vpg_rules_traversed)
-                               : 1;
-        service += one_pass * static_cast<std::int64_t>(passes);
-      }
-      if (profile_.match_backend == MatchBackend::kLinear && profile_.stateful &&
-          tuple && !view->vpg && mr.action == RuleAction::kAllow) {
-        flow_states_.insert(*tuple, sim_.now());
-      }
+    const MatchResult mr =
+        matcher_.classify(*view, job.pkt.five_tuple(), sim_.now(), &service);
+    fwstats_.rules_traversed += static_cast<std::uint64_t>(mr.rules_traversed);
+    job.action = mr.action;
+    job.vpg_id = mr.vpg_id;
+    if (mr.action == RuleAction::kVpg) {
+      // Crypto runs over the sealed payload: the existing sealed bytes for
+      // inbound VPG frames, payload + AEAD tag for outbound. Crypto cost is
+      // per frame, so a flow-cache hit on a VPG verdict still pays it.
+      const std::size_t crypto_bytes =
+          view->vpg ? view->l4_payload.size()
+                    : view->l3_payload.size() + crypto::Aead::kTagSize;
+      const sim::Duration one_pass =
+          profile_.vpg_setup +
+          profile_.vpg_per_byte * static_cast<std::int64_t>(crypto_bytes);
+      // Decrypt-always ablation: a naive matcher attempts decryption at
+      // every VPG rule it walks past, not just the matching one.
+      const int passes = (profile_.vpg_decrypt_always && view->vpg)
+                             ? std::max(1, mr.vpg_rules_traversed)
+                             : 1;
+      service += one_pass * static_cast<std::int64_t>(passes);
     }
   }
 
@@ -158,35 +137,6 @@ void FirewallNic::start_next() {
     finish(std::move(job));
     start_next();
   });
-}
-
-MatchResult FirewallNic::classify(const net::FrameView& view,
-                                  sim::Duration* service) {
-  if (profile_.match_backend == MatchBackend::kLinear) {
-    const MatchResult mr = rules_.match(view);
-    *service += profile_.per_rule * static_cast<std::int64_t>(mr.rules_traversed);
-    return mr;
-  }
-
-  // Compiled backends. Verdicts are bit-identical to the linear matcher;
-  // only the cost model differs.
-  ++matchstats_.lookups;
-  const auto tuple = view.five_tuple();
-  const bool cacheable = profile_.match_backend == MatchBackend::kCompiledFlowCache &&
-                         tuple && !view.vpg;
-  if (cacheable) {
-    *service += profile_.flow_lookup;
-    MatchResult cached;
-    if (flow_cache_.lookup(*tuple, &cached)) return cached;
-  }
-  const CompiledMatch cm = compiled_.match(view);
-  *service += profile_.compiled_node * static_cast<std::int64_t>(cm.nodes);
-  matchstats_.compiled_nodes += static_cast<std::uint64_t>(cm.nodes);
-  if (cacheable) {
-    *service += profile_.flow_insert;
-    flow_cache_.insert(*tuple, cm.result);
-  }
-  return cm.result;
 }
 
 void FirewallNic::finish(Job job) {
@@ -284,33 +234,7 @@ void FirewallNic::register_metrics(telemetry::MetricRegistry& registry,
                  [this] { return locked_ ? 1.0 : 0.0; });
   service_hist_ = &registry.histogram("fw.service_time_ns", labels);
 
-  if (profile_.match_backend != MatchBackend::kLinear) {
-    // "match.*" joins the registry only for the compiled backends: the paper
-    // figures all run the linear backend, so their metric set — and
-    // therefore their timeline artifacts — stay byte-identical to a build
-    // without this subsystem (same pattern as nic.rx_checksum_drops).
-    fw_counter("match.lookups", &matchstats_.lookups);
-    fw_counter("match.compiled_nodes", &matchstats_.compiled_nodes);
-    fw_counter("match.rebuilds", &matchstats_.rebuilds);
-    auto cache_counter = [&](const char* name, std::uint64_t FlowCacheStats::* field) {
-      registry.counter_fn(name, labels, [this, field] {
-        return static_cast<double>(flow_cache_.stats().*field);
-      });
-    };
-    cache_counter("match.flow_lookups", &FlowCacheStats::lookups);
-    cache_counter("match.flow_hits", &FlowCacheStats::hits);
-    cache_counter("match.flow_misses", &FlowCacheStats::misses);
-    cache_counter("match.flow_inserts", &FlowCacheStats::inserts);
-    cache_counter("match.flow_evictions", &FlowCacheStats::evictions);
-    cache_counter("match.flow_stale_hits", &FlowCacheStats::stale_hits);
-    cache_counter("match.flow_invalidations", &FlowCacheStats::invalidations);
-    registry.gauge("match.flow_live_entries", labels, [this] {
-      return static_cast<double>(flow_cache_.live_entries());
-    });
-    registry.gauge("match.compiled_memory_bytes", labels, [this] {
-      return static_cast<double>(compiled_.stats().memory_bytes);
-    });
-  }
+  matcher_.register_metrics(registry, labels);
 
   if (guard_.config().enabled) {
     // guard_ has stable address even if enable_flood_guard replaces it.
@@ -334,27 +258,11 @@ void FirewallNic::register_metrics(telemetry::MetricRegistry& registry,
 
 void FirewallNic::reconfigure_guard() {
   if (!guard_.config().enabled) return;
-  // The card knows its own minimum-frame match cost for the installed
-  // backend; the guard scales admission so admitted traffic cannot saturate
-  // the embedded CPU. For the compiled backends the conservative figure is
-  // a full miss (worst-case decision walk, plus the cache probe + insert
-  // when the flow cache is on — a spoofed flood misses every time).
-  sim::Duration match_cost;
-  switch (profile_.match_backend) {
-    case MatchBackend::kLinear:
-      match_cost = profile_.per_rule * rules_.total_cost_units();
-      break;
-    case MatchBackend::kCompiled:
-      match_cost = profile_.compiled_node * compiled_.worst_case_nodes();
-      break;
-    case MatchBackend::kCompiledFlowCache:
-      match_cost = profile_.flow_lookup + profile_.flow_insert +
-                   profile_.compiled_node * compiled_.worst_case_nodes();
-      break;
-  }
-  const sim::Duration walk =
-      profile_.arrival_overhead + profile_.fixed + profile_.per_byte * 60 +
-      match_cost;
+  // The card knows its own minimum-frame cost for the installed policy on
+  // its backend; the guard scales admission so admitted traffic cannot
+  // saturate the embedded CPU.
+  const sim::Duration walk = profile_.arrival_overhead + profile_.fixed +
+                             profile_.per_byte * 60 + matcher_.worst_case_cost();
   guard_.reconfigure_for_capacity(1.0 / walk.to_seconds());
 }
 
@@ -379,9 +287,8 @@ void FirewallNic::note_inbound_deny() {
 }
 
 std::size_t FirewallNic::memory_bytes() const {
-  return util::heap_bytes(name_) + rules_.memory_bytes() + flow_states_.memory_bytes() +
-         flow_cache_.memory_bytes() + compiled_.memory_bytes() +
-         util::heap_bytes(queue_) + vpgs_.memory_bytes() + guard_.memory_bytes();
+  return util::heap_bytes(name_) + matcher_.memory_bytes() + util::heap_bytes(queue_) +
+         vpgs_.memory_bytes() + guard_.memory_bytes();
 }
 
 }  // namespace barb::firewall

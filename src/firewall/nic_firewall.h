@@ -11,10 +11,8 @@
 #include <deque>
 #include <optional>
 
-#include "firewall/classifier/compiled_classifier.h"
-#include "firewall/classifier/flow_cache.h"
 #include "firewall/flood_guard.h"
-#include "firewall/flow_state.h"
+#include "firewall/matcher.h"
 #include "firewall/profiles.h"
 #include "firewall/rule_set.h"
 #include "firewall/vpg.h"
@@ -38,14 +36,6 @@ struct FirewallNicStats {
   sim::Duration cpu_busy;          // accumulated embedded-CPU service time
 };
 
-// Compiled-backend matching counters ("match.*" when registered). Flow-cache
-// hit/miss/eviction counts live in FlowCache::stats().
-struct MatchPathStats {
-  std::uint64_t lookups = 0;         // classifications (cache hits included)
-  std::uint64_t compiled_nodes = 0;  // decision-structure nodes visited
-  std::uint64_t rebuilds = 0;        // compiled rebuilds (policy pushes)
-};
-
 class FirewallNic : public stack::Nic {
  public:
   FirewallNic(sim::Simulation& sim, net::MacAddress mac, std::string name,
@@ -54,17 +44,10 @@ class FirewallNic : public stack::Nic {
   // Policy installation (normally via the PolicyAgent). The default policy
   // is an empty rule-set with default-allow, i.e. an unconfigured card.
   // A push is atomic with respect to frame processing (the embedded CPU
-  // picks up verdicts between frames): the compiled structure is rebuilt
-  // wholesale and the flow cache's generation is bumped before the next
-  // frame is classified.
+  // picks up verdicts between frames): the matcher drops every verdict of
+  // the previous rule set before the next frame is classified.
   void install_rule_set(RuleSet rules) {
-    rules_ = std::move(rules);
-    flow_states_.clear();  // old verdicts may no longer be valid
-    if (profile_.match_backend != MatchBackend::kLinear) {
-      compiled_.rebuild(rules_);
-      flow_cache_.bump_generation();
-      ++matchstats_.rebuilds;
-    }
+    matcher_.install(std::move(rules));
     reconfigure_guard();
   }
 
@@ -83,24 +66,23 @@ class FirewallNic : public stack::Nic {
   // for policy-server communication — without it, a deny-by-default policy
   // would cut the card off from its own management channel.
   void set_management_peer(net::Ipv4Address ip) { management_peer_ = ip; }
-  const RuleSet& rule_set() const { return rules_; }
+  const RuleSet& rule_set() const { return matcher_.rules(); }
   VpgTable& vpg_table() { return vpgs_; }
 
   const DeviceProfile& profile() const { return profile_; }
   const FirewallNicStats& fw_stats() const { return fwstats_; }
-  const FlowStateTable& flow_states() const { return flow_states_; }
-  const MatchPathStats& match_stats() const { return matchstats_; }
-  const CompiledClassifier& compiled_classifier() const { return compiled_; }
-  const FlowCache& flow_cache() const { return flow_cache_; }
+  // The card's classification: rules, compiled structure, flow tables.
+  const Matcher& matcher() const { return matcher_; }
   bool locked_up() const { return locked_; }
 
-  // Heap held by the card: rules, both flow tables, the compiled
-  // classifier, the ring queue, and the VPG and FloodGuard tables.
+  // Heap held by the card: the matcher (rules, compiled classifier, both
+  // flow tables), the ring queue, and the VPG and FloodGuard tables.
   std::size_t memory_bytes() const;
 
   // Registers the card's counters ("fw.*"), queue gauges, a service-time
-  // histogram ("fw.service_time_ns", fed by every processed frame), and —
-  // when FloodGuard is enabled — the "guard.*" screening counters.
+  // histogram ("fw.service_time_ns", fed by every processed frame), the
+  // matcher's "match.*" set (compiled backends), and — when FloodGuard is
+  // enabled — the "guard.*" screening counters.
   void register_metrics(telemetry::MetricRegistry& registry,
                         const std::string& labels);
 
@@ -130,22 +112,14 @@ class FirewallNic : public stack::Nic {
   void start_next();
   void finish(Job job);
   void note_inbound_deny();
-  // Classifies one frame through the configured backend, accruing the
-  // backend's cost model into *service. Returns the (backend-independent)
-  // match verdict.
-  MatchResult classify(const net::FrameView& view, sim::Duration* service);
 
   bool is_management_frame(const net::FrameView& view) const;
   void reconfigure_guard();
 
   DeviceProfile profile_;
-  RuleSet rules_;
+  Matcher matcher_;
   VpgTable vpgs_;
   FloodGuard guard_{FloodGuardConfig{}};  // disabled by default
-  FlowStateTable flow_states_;            // used when profile_.stateful
-  CompiledClassifier compiled_;           // used by the compiled backends
-  FlowCache flow_cache_;                  // used by kCompiledFlowCache
-  MatchPathStats matchstats_;
   std::optional<net::Ipv4Address> management_peer_;
 
   std::deque<Job> queue_;  // FIFO across both buffers (one CPU services both)

@@ -44,10 +44,13 @@
 
 namespace barb::firewall {
 
-// Rule-matching backend on the embedded CPU.
+// Rule-matching backend on the embedded CPU (firewall::Matcher runs it).
 //
 //  * kLinear — the calibrated paper-faithful model: O(rules) first-match
 //    interpretation per frame (everything the paper measured).
+//  * kLinearStateful — counterfactual: kLinear plus pf-style flow state.
+//    Established allowed flows skip the rule walk at `state_lookup` cost.
+//    See firewall/flow_state.h.
 //  * kCompiled — counterfactual: the firmware compiles the rule-set into a
 //    field-wise decision structure at policy-push time; per-frame cost is
 //    per *node visited* (binary-search steps + intersection words), not per
@@ -57,6 +60,7 @@ namespace barb::firewall {
 //    structure entirely. See firewall/classifier/flow_cache.h.
 enum class MatchBackend : std::uint8_t {
   kLinear,
+  kLinearStateful,
   kCompiled,
   kCompiledFlowCache,
 };
@@ -64,6 +68,7 @@ enum class MatchBackend : std::uint8_t {
 inline const char* to_string(MatchBackend backend) {
   switch (backend) {
     case MatchBackend::kLinear: return "linear";
+    case MatchBackend::kLinearStateful: return "linear+stateful";
     case MatchBackend::kCompiled: return "compiled";
     case MatchBackend::kCompiledFlowCache: return "compiled+flowcache";
   }
@@ -99,10 +104,9 @@ struct DeviceProfile {
   // flood starves legitimate frames of buffer space at saturation.
   std::size_t rx_buffer_bytes = 64 * 1024;
   std::size_t tx_buffer_bytes = 64 * 1024;
-  // Stateful-filtering extension (the real EFW/ADF are stateless; this is
-  // the "what if the card kept pf-style flow state" ablation): packets of
-  // established allowed flows skip the rule walk at this lookup cost.
-  bool stateful = false;
+  // State-table probe of the kLinearStateful backend (the real EFW/ADF are
+  // stateless; this is the "what if the card kept pf-style flow state"
+  // ablation), paid by every cleartext frame: a hit skips the rule walk.
   sim::Duration state_lookup = sim::Duration::microseconds(1);
   // Ablation model: decrypt every VPG-encapsulated frame at each VPG rule
   // traversed instead of only at the matching rule. The paper infers the
@@ -116,8 +120,9 @@ struct DeviceProfile {
   std::uint64_t lockup_denies_per_sec = 0;
 
   // --- Matching backend (ROADMAP item 1 counterfactual) ------------------
-  // kLinear keeps the calibrated per_rule cost above; the compiled backends
-  // replace the rule-walk term with their own cost model. These are NOT
+  // The linear backends keep the calibrated per_rule cost above (plus
+  // state_lookup when stateful); the compiled backends replace the
+  // rule-walk term with their own cost model. These are NOT
   // calibrated against hardware (no such firmware existed) — they are
   // anchored to the same embedded CPU's primitive costs: one decision-tree
   // node is a word-sized load+compare+branch in card RAM (a fraction of the
@@ -134,12 +139,6 @@ struct DeviceProfile {
   sim::Duration flow_insert = sim::Duration::nanoseconds(400);
   // Verdict-cache capacity (entries; rounded up to a power of two).
   std::size_t flow_cache_capacity = 8192;
-
-  // Service time of an accepted frame before any VPG crypto.
-  sim::Duration base_service(std::size_t frame_bytes, int rule_units) const {
-    return fixed + per_byte * static_cast<std::int64_t>(frame_bytes) +
-           per_rule * static_cast<std::int64_t>(rule_units);
-  }
 };
 
 // 3Com Embedded Firewall (EFW) on the 3CR990.
@@ -160,13 +159,14 @@ inline DeviceProfile adf_profile() {
   return p;
 }
 
-// Derived profile with a non-default matching backend ("EFW+compiled",
-// "EFW+flowcache", ...). The linear calibration constants stay in place —
-// only the rule-walk term of the cost model is swapped out.
+// Derived profile with a non-default matching backend ("EFW+stateful",
+// "EFW+compiled", "EFW+flowcache"). The linear calibration constants stay
+// in place — only the rule-walk term of the cost model is swapped out.
 inline DeviceProfile with_backend(DeviceProfile p, MatchBackend backend) {
   p.match_backend = backend;
   switch (backend) {
     case MatchBackend::kLinear: break;
+    case MatchBackend::kLinearStateful: p.name += "+stateful"; break;
     case MatchBackend::kCompiled: p.name += "+compiled"; break;
     case MatchBackend::kCompiledFlowCache: p.name += "+flowcache"; break;
   }

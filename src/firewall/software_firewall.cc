@@ -7,35 +7,8 @@
 namespace barb::firewall {
 
 SoftwareFirewall::SoftwareFirewall(sim::Simulation& sim, SoftwareFirewallConfig config)
-    : sim_(sim),
-      config_(config),
-      flow_cache_(FlowCacheConfig{config.flow_cache_capacity}) {
+    : sim_(sim), config_(config) {
   rules_.set_default_action(RuleAction::kAllow);
-  if (config_.backend != MatchBackend::kLinear) compiled_.rebuild(rules_);
-}
-
-MatchResult SoftwareFirewall::classify(const net::FrameView& view,
-                                       sim::Duration* service) {
-  if (config_.backend == MatchBackend::kLinear) {
-    const MatchResult mr = rules_.match(view);
-    *service += config_.per_rule * static_cast<std::int64_t>(mr.rules_traversed);
-    return mr;
-  }
-  const auto tuple = view.five_tuple();
-  const bool cacheable =
-      config_.backend == MatchBackend::kCompiledFlowCache && tuple && !view.vpg;
-  if (cacheable) {
-    *service += config_.flow_lookup;
-    MatchResult cached;
-    if (flow_cache_.lookup(*tuple, &cached)) return cached;
-  }
-  const CompiledMatch cm = compiled_.match(view);
-  *service += config_.per_node * static_cast<std::int64_t>(cm.nodes);
-  if (cacheable) {
-    *service += config_.flow_insert;
-    flow_cache_.insert(*tuple, cm.result);
-  }
-  return cm.result;
 }
 
 void SoftwareFirewall::filter(stack::FilterDirection /*direction*/, net::Packet pkt,
@@ -58,7 +31,10 @@ void SoftwareFirewall::start_next() {
   const net::FrameView* view = job.pkt.view();
   MatchResult mr;
   mr.action = RuleAction::kAllow;
-  if (view != nullptr) mr = classify(*view, &service);
+  if (view != nullptr) {
+    mr = rules_.match(*view);
+    service += config_.per_rule * static_cast<std::int64_t>(mr.rules_traversed);
+  }
   stats_.cpu_busy += service;
   if (service_hist_ != nullptr) {
     service_hist_->record(static_cast<std::uint64_t>(service.ns()));
@@ -97,8 +73,7 @@ void SoftwareFirewall::register_metrics(telemetry::MetricRegistry& registry,
 }
 
 std::size_t SoftwareFirewall::memory_bytes() const {
-  return rules_.memory_bytes() + flow_cache_.memory_bytes() + compiled_.memory_bytes() +
-         util::heap_bytes(queue_);
+  return rules_.memory_bytes() + util::heap_bytes(queue_);
 }
 
 }  // namespace barb::firewall

@@ -4,15 +4,15 @@
 // is the host CPU (1 GHz P3-class), whose per-packet costs are two orders of
 // magnitude smaller than the NIC's embedded processor. That difference is
 // the paper's comparison: iptables shows no bandwidth loss below 64+ rules
-// and shrugs off every flood the testbed can generate.
+// and shrugs off every flood the testbed can generate. Like the paper's
+// iptables (and the netfilter study's linear per-rule fit), the filter walks
+// the rule list linearly; the card's counterfactual backends have no host
+// counterpart.
 #pragma once
 
 #include <cstdint>
 #include <deque>
 
-#include "firewall/classifier/compiled_classifier.h"
-#include "firewall/classifier/flow_cache.h"
-#include "firewall/profiles.h"
 #include "firewall/rule_set.h"
 #include "sim/simulation.h"
 #include "stack/packet_filter.h"
@@ -26,15 +26,6 @@ struct SoftwareFirewallConfig {
   sim::Duration per_rule = sim::Duration::nanoseconds(60);
   // Kernel backlog before packets are dropped.
   std::size_t backlog = 5000;
-  // Matching backend; same semantics as DeviceProfile::match_backend, with
-  // host-CPU cost constants (the 1 GHz P3 walks a compiled node or a hash
-  // chain roughly two orders of magnitude faster than the NIC's embedded
-  // processor — same ratio the paper measured for the rule walk).
-  MatchBackend backend = MatchBackend::kLinear;
-  sim::Duration per_node = sim::Duration::nanoseconds(15);
-  sim::Duration flow_lookup = sim::Duration::nanoseconds(80);
-  sim::Duration flow_insert = sim::Duration::nanoseconds(40);
-  std::size_t flow_cache_capacity = 8192;
 };
 
 struct SoftwareFirewallStats {
@@ -49,19 +40,11 @@ class SoftwareFirewall : public stack::HostPacketFilter {
   SoftwareFirewall(sim::Simulation& sim, SoftwareFirewallConfig config = {});
 
   // Rules are applied to both directions (mirroring a symmetric
-  // INPUT/OUTPUT chain setup). Rebuilds the compiled structure and bumps
-  // the flow-cache generation when a non-linear backend is configured.
-  void install_rule_set(RuleSet rules) {
-    rules_ = std::move(rules);
-    if (config_.backend != MatchBackend::kLinear) {
-      compiled_.rebuild(rules_);
-      flow_cache_.bump_generation();
-    }
-  }
+  // INPUT/OUTPUT chain setup).
+  void install_rule_set(RuleSet rules) { rules_ = std::move(rules); }
   const RuleSet& rule_set() const { return rules_; }
   const SoftwareFirewallStats& stats() const { return stats_; }
-  const FlowCache& flow_cache() const { return flow_cache_; }
-  // Heap held: rules, flow cache, compiled classifier and backlog queue.
+  // Heap held: rules and backlog queue.
   std::size_t memory_bytes() const;
 
   void filter(stack::FilterDirection direction, net::Packet pkt,
@@ -80,14 +63,9 @@ class SoftwareFirewall : public stack::HostPacketFilter {
 
   void start_next();
 
-  // Returns the verdict for one packet, accruing match cost into *service.
-  MatchResult classify(const net::FrameView& view, sim::Duration* service);
-
   sim::Simulation& sim_;
   SoftwareFirewallConfig config_;
   RuleSet rules_;
-  CompiledClassifier compiled_;
-  FlowCache flow_cache_;
   std::deque<Job> queue_;
   bool busy_ = false;
   SoftwareFirewallStats stats_;

@@ -64,16 +64,11 @@ std::string depth32_policy() {
   return text;
 }
 
-LeafSpineSpec adf_fleet(int hosts, firewall::MatchBackend backend, bool stateful) {
+LeafSpineSpec adf_fleet(int hosts, firewall::MatchBackend backend) {
   LeafSpineSpec spec;
   spec.hosts = hosts;
   spec.default_nic.kind = FirewallKind::kAdf;
   spec.default_nic.backend = backend;
-  if (stateful) {
-    auto profile = firewall::adf_profile();
-    profile.stateful = true;
-    spec.default_nic.profile_override = profile;
-  }
   return spec;
 }
 
@@ -136,20 +131,20 @@ TEST(MemoryAudit, MatchesCountedAllocations) {
   {
     SCOPED_TRACE("ADF linear, after install_rule_set");
     const auto m =
-        measure(adf_fleet(kHosts, firewall::MatchBackend::kLinear, false), Step::kInstall);
+        measure(adf_fleet(kHosts, firewall::MatchBackend::kLinear), Step::kInstall);
     expect_within_15_percent(m);
     EXPECT_EQ(m.audit.hosts, static_cast<std::size_t>(kHosts));
   }
   {
     SCOPED_TRACE("ADF compiled+flowcache, every card classified one frame");
     const auto m = measure(
-        adf_fleet(kHosts, firewall::MatchBackend::kCompiledFlowCache, false),
+        adf_fleet(kHosts, firewall::MatchBackend::kCompiledFlowCache),
         Step::kClassifyOneFrame);
     expect_within_15_percent(m);
   }
   {
     SCOPED_TRACE("stateful ADF, one allowed flow per card");
-    const auto m = measure(adf_fleet(kHosts, firewall::MatchBackend::kLinear, true),
+    const auto m = measure(adf_fleet(kHosts, firewall::MatchBackend::kLinearStateful),
                            Step::kOneAllowedFlow);
     expect_within_15_percent(m);
   }

@@ -246,5 +246,15 @@ TEST(Testbed, FloodOverflowMatchesGolden) {
   EXPECT_EQ(toward_target.dropped_frames, 308u);
 }
 
+// The iptables model is linear-only; a backend meant for the cards must not
+// be dropped without a word when the host filter is the device under test.
+TEST(TestbedDeathTest, IptablesWithNonLinearBackendAborts) {
+  TestbedConfig cfg;
+  cfg.firewall = FirewallKind::kIptables;
+  cfg.match_backend = firewall::MatchBackend::kCompiled;
+  sim::Simulation sim(1);
+  EXPECT_DEATH(Testbed(sim, cfg), "the iptables model is linear-only");
+}
+
 }  // namespace
 }  // namespace barb::core

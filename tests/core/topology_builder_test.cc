@@ -199,6 +199,19 @@ TEST(TopologyBuilder, FleetMetricsRegisterAndSample) {
   EXPECT_GT(registry.value("switch.fib_entries", "switch=spine0"), 0.0);
 }
 
+// NicSpec::backend replaces the override's backend, so an override that
+// carries one (say, the stateful backend) would silently run linear.
+TEST(TopologyBuilderDeathTest, ProfileOverrideWithBackendAborts) {
+  HostSpec spec;
+  spec.name = "target";
+  spec.nic.kind = FirewallKind::kEfw;
+  spec.nic.profile_override =
+      firewall::with_backend(firewall::efw_profile(), firewall::MatchBackend::kLinearStateful);
+  sim::Simulation sim(1);
+  EXPECT_DEATH(make_nic(sim, spec, nullptr),
+               "profile_override must keep the linear backend");
+}
+
 // The Testbed preset must still wire the paper's Figure 1 exactly: four
 // hosts in the legacy order on one switch, legacy addresses and labels.
 TEST(TopologyBuilder, TestbedPresetKeepsLegacyWiring) {

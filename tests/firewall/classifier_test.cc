@@ -343,8 +343,8 @@ TEST(CompiledClassifier, NicInstallRebuildsAndReportsStats) {
   RuleSet rs;
   rs.add(allow_to_port(80));
   nic.install_rule_set(rs);
-  EXPECT_EQ(nic.compiled_classifier().stats().rules, 1u);
-  EXPECT_GE(nic.match_stats().rebuilds, 1u);
+  EXPECT_EQ(nic.matcher().compiled().stats().rules, 1u);
+  EXPECT_GE(nic.matcher().stats().rebuilds, 1u);
 }
 
 }  // namespace

@@ -124,7 +124,7 @@ TEST(FlowState, AllocatesSlotsOnFirstInsert) {
   EXPECT_LT(full, slot_bytes + 4 * 64);
 }
 
-// Integration: a stateful EFW profile erases the depth penalty for
+// Integration: an EFW on the stateful backend erases the depth penalty for
 // legitimate traffic.
 TEST(FlowStateIntegration, StatefulNicIsDepthInsensitive) {
   core::MeasurementOptions opt;
@@ -136,9 +136,7 @@ TEST(FlowStateIntegration, StatefulNicIsDepthInsensitive) {
   cfg.action_rule_depth = 64;
   const double stateless = core::measure_available_bandwidth(cfg, opt).mean();
 
-  auto profile = efw_profile();
-  profile.stateful = true;
-  cfg.profile_override = profile;
+  cfg.match_backend = MatchBackend::kLinearStateful;
   const double stateful = core::measure_available_bandwidth(cfg, opt).mean();
 
   EXPECT_LT(stateless, 60.0);  // the paper's 64-rule penalty

@@ -325,41 +325,115 @@ TEST(FirewallNic, LinearStatelessCardHoldsNoFlowTables) {
     h.sim.run();
     EXPECT_EQ(h.host_side.frames.size(), 3u);
     EXPECT_EQ(h.nic.fw_stats().rx_denied, 1u);
-    EXPECT_EQ(h.nic.flow_cache().memory_bytes(), 0u);
-    EXPECT_EQ(h.nic.flow_states().memory_bytes(), 0u);
+    EXPECT_EQ(h.nic.matcher().flow_cache().memory_bytes(), 0u);
+    EXPECT_EQ(h.nic.matcher().flow_states().memory_bytes(), 0u);
     // What the card does hold: two rules, an empty ring queue, its name.
     EXPECT_LT(h.nic.memory_bytes(), 1024u);
   }
 
   {
-    SCOPED_TRACE("stateful");
-    auto profile = efw_profile();
-    profile.stateful = true;
-    Harness h(profile);
+    SCOPED_TRACE("linear+stateful");
+    Harness h(with_backend(efw_profile(), MatchBackend::kLinearStateful));
+    const FlowStateTable& states = h.nic.matcher().flow_states();
     h.install(kPolicy);
     h.from_wire(udp_frame(1, 81));  // denied: no state
     h.sim.run();
-    EXPECT_EQ(h.nic.flow_states().memory_bytes(), 0u);
+    EXPECT_EQ(states.memory_bytes(), 0u);
     h.from_wire(udp_frame(1, 80));
     h.sim.run();
-    EXPECT_EQ(h.nic.flow_states().size(), 1u);
-    EXPECT_GE(h.nic.flow_states().memory_bytes(),
-              h.nic.flow_states().slot_count() * sizeof(std::uint32_t));
-    EXPECT_EQ(h.nic.flow_cache().memory_bytes(), 0u);
+    EXPECT_EQ(states.size(), 1u);
+    EXPECT_GE(states.memory_bytes(), states.slot_count() * sizeof(std::uint32_t));
+    EXPECT_EQ(h.nic.matcher().flow_cache().memory_bytes(), 0u);
   }
 
   {
     SCOPED_TRACE("compiled+flowcache");
     Harness h(with_backend(adf_profile(), MatchBackend::kCompiledFlowCache));
+    const FlowCache& cache = h.nic.matcher().flow_cache();
     h.install(kPolicy);
-    EXPECT_EQ(h.nic.flow_cache().memory_bytes(), 0u);
+    EXPECT_EQ(cache.memory_bytes(), 0u);
     h.from_wire(udp_frame(1, 81));  // deny verdicts are cached too
     h.sim.run();
     EXPECT_EQ(h.nic.fw_stats().rx_denied, 1u);
-    EXPECT_EQ(h.nic.flow_cache().memory_bytes(),
-              h.nic.flow_cache().capacity() * FlowCache::slot_bytes());
-    EXPECT_EQ(h.nic.flow_states().memory_bytes(), 0u);
-    EXPECT_GT(h.nic.memory_bytes(), h.nic.flow_cache().memory_bytes());
+    EXPECT_EQ(cache.memory_bytes(), cache.capacity() * FlowCache::slot_bytes());
+    EXPECT_EQ(h.nic.matcher().flow_states().memory_bytes(), 0u);
+    EXPECT_GT(h.nic.memory_bytes(), cache.memory_bytes());
+  }
+}
+
+// One script on one ADF card per backend, without jitter, pinning every
+// charge and verdict. The constants were recorded before the backends
+// moved behind firewall::Matcher (the stateful card then being a linear
+// card with a `stateful` flag), so any changed charge fails here.
+TEST(FirewallNic, ServiceTimePinnedPerBackend) {
+  // 64 rule units: the allow for UDP port 80 is unit 33, so a frame of the
+  // allowed flow walks 33 units and a denied one all 64.
+  std::string policy = "default deny\n";
+  const auto pad = [&policy](int i) {
+    policy += "deny tcp from 192.168.0." + std::to_string(i) + " to 192.168.250.1\n";
+  };
+  for (int i = 1; i <= 32; ++i) pad(i);
+  policy += "allow udp from any to any port 80\n";
+  for (int i = 33; i <= 63; ++i) pad(i);
+
+  struct Pinned {
+    MatchBackend backend;
+    std::int64_t cpu_busy_ns;
+    std::uint64_t rules_traversed;
+    // Compiled backends only.
+    MatchPathStats match;
+    std::uint64_t flow_hits, flow_misses, flow_stale_hits;
+  };
+  const Pinned cards[] = {
+      {MatchBackend::kLinear, 1116400, 326, {}, 0, 0, 0},
+      {MatchBackend::kLinearStateful, 835320, 227, {}, 0, 0, 0},
+      {MatchBackend::kCompiled, 202880, 326, {8, 192, 2}, 0, 0, 0},
+      {MatchBackend::kCompiledFlowCache, 197680, 326, {8, 120, 2}, 3, 5, 2},
+  };
+  for (const Pinned& want : cards) {
+    SCOPED_TRACE(to_string(want.backend));
+    auto profile = with_backend(adf_profile(), want.backend);
+    profile.service_jitter = 0;
+    Harness h(profile);
+    h.install(policy.c_str());
+    h.sim.run();
+    for (int i = 0; i < 3; ++i) h.from_wire(udp_frame(1, 80));
+    h.sim.run();
+    net::IpEndpoints reply;
+    reply.src_ip = net::Ipv4Address(10, 0, 0, 40);
+    reply.dst_ip = net::Ipv4Address(10, 0, 0, 1);
+    reply.src_mac = net::MacAddress::from_host_id(40);
+    reply.dst_mac = net::MacAddress::from_host_id(1);
+    const std::vector<std::uint8_t> payload(10, 0x42);
+    h.nic.transmit({net::build_udp_frame(reply, 80, 4000, payload), h.sim.now(), 0});
+    h.sim.run();
+    for (int i = 0; i < 2; ++i) h.from_wire(udp_frame(1, 81));
+    h.sim.run();
+    h.nic.restart();
+    h.from_wire(udp_frame(1, 80));
+    h.sim.run();
+    h.install(policy.c_str());
+    h.sim.run();
+    h.from_wire(udp_frame(1, 80));
+    h.sim.run();
+
+    const FirewallNicStats& fw = h.nic.fw_stats();
+    EXPECT_EQ(fw.cpu_busy.ns(), want.cpu_busy_ns);
+    EXPECT_EQ(fw.rules_traversed, want.rules_traversed);
+    EXPECT_EQ(fw.rx_allowed, 5u);
+    EXPECT_EQ(fw.rx_denied, 2u);
+    EXPECT_EQ(fw.tx_allowed, 1u);
+    EXPECT_EQ(fw.tx_denied, 0u);
+    EXPECT_EQ(h.host_side.frames.size(), 5u);
+    EXPECT_EQ(h.wire_side.frames.size(), 1u);
+    const MatchPathStats& match = h.nic.matcher().stats();
+    EXPECT_EQ(match.lookups, want.match.lookups);
+    EXPECT_EQ(match.compiled_nodes, want.match.compiled_nodes);
+    EXPECT_EQ(match.rebuilds, want.match.rebuilds);
+    const FlowCacheStats& cache = h.nic.matcher().flow_cache().stats();
+    EXPECT_EQ(cache.hits, want.flow_hits);
+    EXPECT_EQ(cache.misses, want.flow_misses);
+    EXPECT_EQ(cache.stale_hits, want.flow_stale_hits);
   }
 }
 

@@ -1,11 +1,11 @@
-// Rebuild storm: repeated policy re-push against the compiled+flow-cache
-// backend. The contract under test (ISSUE 10 satellite): after a
-// generation bump no stale verdict is ever served, and the rebuild /
-// invalidation / stale counters reconcile exactly.
+// Rebuild storm: repeated policy re-push against the compiled backends.
+// The contract under test: after a generation bump no stale verdict is ever
+// served, and the rebuild / invalidation / stale counters reconcile exactly.
 #include <gtest/gtest.h>
 
-#include "firewall/classifier/compiled_classifier.h"
-#include "firewall/classifier/flow_cache.h"
+#include <unordered_set>
+
+#include "firewall/matcher.h"
 #include "firewall/nic_firewall.h"
 #include "firewall/policy.h"
 #include "firewall/policygen/policy_corpus.h"
@@ -16,57 +16,71 @@
 namespace barb::firewall {
 namespace {
 
+bool same_match(const MatchResult& a, const MatchResult& b) {
+  return a.action == b.action && a.matched_index == b.matched_index &&
+         a.rules_traversed == b.rules_traversed &&
+         a.vpg_rules_traversed == b.vpg_rules_traversed && a.vpg_id == b.vpg_id;
+}
+
 TEST(RebuildStorm, NoStaleVerdictSurvivesGenerationBump) {
-  // 24 policy pushes of generated corpora through one cache. After each
-  // bump, every tuple cached under the previous policy must be refused, and
-  // any hit must serve exactly the current policy's verdict.
-  policygen::PolicyCorpusGenerator gen(123);
-  FlowCache cache(FlowCacheConfig{256, 8});
-  CompiledClassifier compiled;
-  RuleSet current;
-  std::vector<net::FiveTuple> cached_this_gen;
+  // 24 policy pushes of generated corpora through one card matcher per
+  // compiled backend. After each push, every tuple classified under the
+  // previous policy must miss the cache, and every verdict must be exactly
+  // the current policy's.
+  for (const MatchBackend backend :
+       {MatchBackend::kCompiled, MatchBackend::kCompiledFlowCache}) {
+    SCOPED_TRACE(to_string(backend));
+    policygen::PolicyCorpusGenerator gen(123);
+    DeviceProfile profile = with_backend(adf_profile(), backend);
+    profile.flow_cache_capacity = 256;  // small, so the storm evicts
+    Matcher matcher(profile);
+    const FlowCache& cache = matcher.flow_cache();
+    RuleSet current;
+    std::unordered_set<net::FiveTuple> seen_this_gen;
+    sim::Duration service;
 
-  for (int push = 0; push < 24; ++push) {
-    policygen::CorpusSpec spec;
-    spec.rules = 40 + push * 5;
-    current = gen.generate(spec).rules;
-    compiled.rebuild(current);
-    cache.bump_generation();
+    for (int push = 0; push < 24; ++push) {
+      policygen::CorpusSpec spec;
+      spec.rules = 40 + push * 5;
+      current = gen.generate(spec).rules;
+      matcher.install(current);
 
-    for (const auto& t : cached_this_gen) {
-      MatchResult out;
-      EXPECT_FALSE(cache.lookup(t, &out)) << "stale verdict served after push " << push;
-    }
-    cached_this_gen.clear();
+      const std::uint64_t hits_before = cache.stats().hits;
+      for (const auto& t : seen_this_gen) {
+        EXPECT_TRUE(same_match(matcher.classify(t, sim::TimePoint(), &service),
+                               current.match(t)))
+            << "wrong verdict after push " << push << " for " << t.to_string();
+      }
+      EXPECT_EQ(cache.stats().hits, hits_before)
+          << "stale verdict served after push " << push;
+      seen_this_gen.clear();
 
-    for (int i = 0; i < 400; ++i) {
-      const net::FiveTuple t = gen.random_universe_tuple();
-      const MatchResult want = current.match(t);
-      // The compiled backend the cache fronts must agree with the linear walk
-      // (three-way oracle in miniature) — a cached compiled verdict is only
-      // safe if this holds.
-      const auto cm = compiled.match(t);
-      ASSERT_EQ(cm.result.action, want.action);
-      ASSERT_EQ(cm.result.matched_index, want.matched_index);
-
-      MatchResult out;
-      if (cache.lookup(t, &out)) {
-        EXPECT_EQ(out.action, want.action);
-        EXPECT_EQ(out.matched_index, want.matched_index);
-        EXPECT_EQ(out.rules_traversed, want.rules_traversed);
-      } else {
-        cache.insert(t, want);
-        cached_this_gen.push_back(t);
+      for (int i = 0; i < 400; ++i) {
+        const net::FiveTuple t = gen.random_universe_tuple();
+        const MatchResult want = current.match(t);
+        // The compiled structure the cache fronts must agree with the linear
+        // walk on its own: a mismatch here names the classifier, not the
+        // cache.
+        ASSERT_TRUE(same_match(matcher.compiled().match(t).result, want));
+        EXPECT_TRUE(same_match(matcher.classify(t, sim::TimePoint(), &service), want))
+            << "push " << push << " " << t.to_string();
+        seen_this_gen.insert(t);
       }
     }
-  }
 
-  const FlowCacheStats& st = cache.stats();
-  EXPECT_EQ(st.invalidations, 24u);
-  EXPECT_EQ(st.lookups, st.hits + st.misses);  // every lookup is one or the other
-  EXPECT_LE(st.stale_hits, st.misses);         // stale hits are (counted) misses
-  EXPECT_GT(st.stale_hits, 0u) << "storm never exercised the stale path";
-  EXPECT_LE(cache.live_entries(), cache.capacity());
+    EXPECT_EQ(matcher.stats().rebuilds, 24u);
+    const FlowCacheStats& st = cache.stats();
+    EXPECT_EQ(st.lookups, st.hits + st.misses);  // every lookup is one or the other
+    EXPECT_LE(st.stale_hits, st.misses);         // stale hits are (counted) misses
+    EXPECT_LE(cache.live_entries(), cache.capacity());
+    if (backend == MatchBackend::kCompiledFlowCache) {
+      EXPECT_EQ(st.invalidations, 24u);
+      EXPECT_GT(st.stale_hits, 0u) << "storm never exercised the stale path";
+      EXPECT_GT(st.evictions, 0u) << "storm never evicted";
+    } else {
+      EXPECT_EQ(st.lookups, 0u);  // the compiled backend never caches
+    }
+  }
 }
 
 TEST(RebuildStorm, NicCountersReconcileAndVerdictsFlip) {
@@ -124,8 +138,8 @@ TEST(RebuildStorm, NicCountersReconcileAndVerdictsFlip) {
   }
 
   EXPECT_EQ(nic.fw_stats().rx_denied, 75u);
-  EXPECT_EQ(nic.match_stats().rebuilds, pushes);
-  const FlowCacheStats& st = nic.flow_cache().stats();
+  EXPECT_EQ(nic.matcher().stats().rebuilds, pushes);
+  const FlowCacheStats& st = nic.matcher().flow_cache().stats();
   EXPECT_EQ(st.invalidations, pushes);  // one generation bump per push
   EXPECT_EQ(st.lookups, st.hits + st.misses);
   EXPECT_GT(st.stale_hits, 0u);

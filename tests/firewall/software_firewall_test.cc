@@ -128,30 +128,20 @@ TEST(SoftwareFirewall, BothDirectionsShareTheCpu) {
   EXPECT_EQ(sim.now().ns(), 20000);
 }
 
-// The flow cache is allocated by the first packet that needs it: never on
-// the linear backend, at the first classification on compiled+flowcache.
-TEST(SoftwareFirewall, FlowCacheAllocatedOnFirstUse) {
+// The host filter is linear-only: after a policy and a packet it holds its
+// rules and an empty backlog queue, nothing else.
+TEST(SoftwareFirewall, HoldsOnlyRulesAndBacklog) {
   sim::Simulation sim;
-  SoftwareFirewallConfig cached_cfg;
-  cached_cfg.backend = MatchBackend::kCompiledFlowCache;
-  SoftwareFirewall linear(sim);
-  SoftwareFirewall cached(sim, cached_cfg);
+  SoftwareFirewall fw(sim);
+  auto parsed = parse_policy("default deny\nallow udp from any to any port 80\n");
+  ASSERT_TRUE(parsed.ok());
+  fw.install_rule_set(std::move(*parsed.rule_set));
   int passed = 0;
-  for (SoftwareFirewall* fw : {&linear, &cached}) {
-    auto parsed = parse_policy("default deny\nallow udp from any to any port 80\n");
-    ASSERT_TRUE(parsed.ok());
-    fw->install_rule_set(std::move(*parsed.rule_set));
-    EXPECT_EQ(fw->flow_cache().memory_bytes(), 0u);
-    fw->filter(stack::FilterDirection::kInput, udp_packet(80),
-               [&](net::Packet) { ++passed; });
-  }
+  fw.filter(stack::FilterDirection::kInput, udp_packet(80),
+            [&](net::Packet) { ++passed; });
   sim.run();
-  EXPECT_EQ(passed, 2);
-  EXPECT_EQ(linear.flow_cache().memory_bytes(), 0u);
-  EXPECT_LT(linear.memory_bytes(), 1024u);
-  EXPECT_EQ(cached.flow_cache().memory_bytes(),
-            cached.flow_cache().capacity() * FlowCache::slot_bytes());
-  EXPECT_GT(cached.memory_bytes(), cached.flow_cache().memory_bytes());
+  EXPECT_EQ(passed, 1);
+  EXPECT_LT(fw.memory_bytes(), 1024u);
 }
 
 }  // namespace

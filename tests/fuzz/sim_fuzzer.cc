@@ -12,8 +12,7 @@
 #include "core/runner.h"
 #include "core/testbed.h"
 #include "core/topology.h"
-#include "firewall/classifier/compiled_classifier.h"
-#include "firewall/classifier/flow_cache.h"
+#include "firewall/matcher.h"
 #include "firewall/policy.h"
 #include "firewall/policygen/policy_corpus.h"
 #include "firewall/rule_set.h"
@@ -41,6 +40,7 @@ constexpr std::uint64_t kSchedulerSalt = 0x5c4edc0de5c4edc0ULL;
 constexpr std::uint64_t kStarFaultSalt = 0xfa7e57a2fa7e57a2ULL;
 constexpr std::uint64_t kFabricSalt = 0xfab21c05fab21c05ULL;
 constexpr std::uint64_t kPolicySalt = 0x9011c7c09011c7c0ULL;
+constexpr std::uint64_t kBackendSalt = 0xbacce4d5bacce4d5ULL;
 
 struct Failures {
   std::vector<std::string>* out;
@@ -222,25 +222,64 @@ std::string describe_match(const firewall::MatchResult& m) {
          std::to_string(m.vpg_id);
 }
 
+// One card matcher per compiled backend. Each outlives the rule sets it is
+// given (as a card does across policy pushes), so a hit that surfaces a
+// previous rule set's verdict is a caught bug; the 512-entry flow cache is
+// small enough that evictions and stale hits happen within one seed. The
+// stateful backend stays out: by design, its state hits allow replies that
+// the rule set alone would deny.
+std::vector<firewall::Matcher> compiled_matchers() {
+  std::vector<firewall::Matcher> matchers;
+  for (const auto backend : {firewall::MatchBackend::kCompiled,
+                             firewall::MatchBackend::kCompiledFlowCache}) {
+    auto profile = firewall::with_backend(firewall::adf_profile(), backend);
+    profile.flow_cache_capacity = 512;
+    matchers.emplace_back(profile);
+  }
+  return matchers;
+}
+
+firewall::MatchResult classify_on(firewall::Matcher& m, const net::FiveTuple& t) {
+  sim::Duration service;
+  return m.classify(t, sim::TimePoint(), &service);
+}
+
+firewall::MatchResult classify_on(firewall::Matcher& m, const net::FrameView& v) {
+  sim::Duration service;
+  return m.classify(v, v.five_tuple(), sim::TimePoint(), &service);
+}
+
+// Classifies `key` on every matcher and compares each full result with the
+// linear walk's. Returns what the first disagreeing backend said, or an
+// empty string when all agree.
+template <typename Key>
+std::string matcher_mismatch(std::vector<firewall::Matcher>& matchers, const Key& key,
+                             const firewall::MatchResult& linear) {
+  for (auto& m : matchers) {
+    const firewall::MatchResult got = classify_on(m, key);
+    if (!same_match(got, linear)) {
+      return std::string(firewall::to_string(m.backend())) + " matcher says " +
+             describe_match(got) + ", linear says " + describe_match(linear);
+    }
+  }
+  return {};
+}
+
 std::uint64_t run_differential_oracle(std::uint64_t seed, Failures fail) {
   sim::Random rng(core::derive_point_seed(seed ^ kDifferentialSalt, 0));
   std::uint64_t checks = 0;
-  // The flow cache outlives the per-round rule-sets (as it does on a real
-  // device across policy pushes); each rebuild bumps its generation, so any
-  // hit that surfaces a previous round's verdict is a caught bug.
-  firewall::FlowCache cache(firewall::FlowCacheConfig{512, 8});
-  firewall::CompiledClassifier compiled;
+  std::vector<firewall::Matcher> matchers = compiled_matchers();
   // A few rule-sets per seed; >= 10k packets in total. Every packet is
   // checked three ways: naive reference vs RuleSet::match (linear) vs the
-  // compiled classifier, plus the flow-cache-assisted compiled path.
+  // compiled classifier, and then through each compiled backend's matcher.
   for (int round = 0; round < 4; ++round) {
     firewall::RuleSet rs;
     const int n_rules = static_cast<int>(1 + rng.uniform(24));
     for (int i = 0; i < n_rules; ++i) rs.add(random_rule(rng));
     rs.set_default_action(rng.bernoulli(0.5) ? firewall::RuleAction::kAllow
                                              : firewall::RuleAction::kDeny);
-    compiled.rebuild(rs);
-    cache.bump_generation();
+    for (auto& m : matchers) m.install(rs);
+    const firewall::CompiledClassifier& compiled = matchers.front().compiled();
 
     for (int i = 0; i < 1500; ++i) {
       const auto t = random_tuple(rng);
@@ -264,16 +303,10 @@ std::uint64_t run_differential_oracle(std::uint64_t seed, Failures fail) {
              "\nrule-set:\n" + rs.to_string());
         return checks;
       }
-      firewall::MatchResult cached;
-      if (cache.lookup(t, &cached)) {
-        if (!same_match(cached, got)) {
-          fail("differential(tuple): flow cache says " + describe_match(cached) +
-               ", linear says " + describe_match(got) + " for " + t.to_string() +
-               "\nrule-set:\n" + rs.to_string());
-          return checks;
-        }
-      } else {
-        cache.insert(t, cm.result);
+      if (const auto bad = matcher_mismatch(matchers, t, got); !bad.empty()) {
+        fail("differential(tuple): " + bad + " for " + t.to_string() +
+             "\nrule-set:\n" + rs.to_string());
+        return checks;
       }
     }
 
@@ -296,13 +329,18 @@ std::uint64_t run_differential_oracle(std::uint64_t seed, Failures fail) {
              "\nrule-set:\n" + rs.to_string());
         return checks;
       }
+      const std::string vpg_note =
+          view->vpg ? " (vpg frame id=" + std::to_string(view->vpg->vpg_id) + ")" : "";
       const auto cm = compiled.match(*view);
       if (!same_match(cm.result, got)) {
         fail("differential(frame): compiled says " + describe_match(cm.result) +
-             ", linear says " + describe_match(got) +
-             (view->vpg ? " (vpg frame id=" + std::to_string(view->vpg->vpg_id) + ")"
-                        : "") +
-             "\nrule-set:\n" + rs.to_string());
+             ", linear says " + describe_match(got) + vpg_note + "\nrule-set:\n" +
+             rs.to_string());
+        return checks;
+      }
+      if (const auto bad = matcher_mismatch(matchers, *view, got); !bad.empty()) {
+        fail("differential(frame): " + bad + vpg_note + "\nrule-set:\n" +
+             rs.to_string());
         return checks;
       }
     }
@@ -325,9 +363,9 @@ std::uint64_t run_differential_oracle(std::uint64_t seed, Failures fail) {
 //    to_string byte-identically (policies travel to agents as DSL text);
 //  * three-way differential — naive reference vs RuleSet::match vs the
 //    compiled classifier on tuples drawn from the rules' own address
-//    universe (plus perturbed near-misses), with a flow cache shared across
-//    the corpora so generation invalidation is exercised under realistic
-//    shape too.
+//    universe (plus perturbed near-misses), then through each compiled
+//    backend's matcher, shared across the corpora so flow-cache generation
+//    invalidation is exercised under realistic shape too.
 //
 // Drawn from its own salted stream: legacy scenarios stay stable per seed.
 
@@ -374,9 +412,8 @@ std::uint64_t run_policy_oracle(std::uint64_t seed, Failures fail,
   pg::PolicyCorpusGenerator gen(core::derive_point_seed(seed ^ kPolicySalt, 1));
   std::uint64_t checks = 0;
 
-  // The cache outlives both corpora, as on a device across policy pushes.
-  firewall::FlowCache cache(firewall::FlowCacheConfig{512, 8});
-  firewall::CompiledClassifier compiled;
+  // The matchers outlive both corpora, as on a device across policy pushes.
+  std::vector<firewall::Matcher> matchers = compiled_matchers();
 
   const int rounds = rng.bernoulli(0.5) ? 2 : 1;
   for (int round = 0; round < rounds; ++round) {
@@ -420,8 +457,8 @@ std::uint64_t run_policy_oracle(std::uint64_t seed, Failures fail,
     }
 
     // Three-way differential over universe traffic + perturbed near-misses.
-    compiled.rebuild(corpus.rules);
-    cache.bump_generation();
+    for (auto& m : matchers) m.install(corpus.rules);
+    const firewall::CompiledClassifier& compiled = matchers.front().compiled();
     for (int i = 0; i < 2000; ++i) {
       net::FiveTuple t = gen.random_universe_tuple();
       if (rng.bernoulli(0.25)) {
@@ -461,21 +498,14 @@ std::uint64_t run_policy_oracle(std::uint64_t seed, Failures fail,
              " on " + what);
         return checks;
       }
-      firewall::MatchResult cached;
-      if (cache.lookup(t, &cached)) {
-        if (!same_match(cached, got)) {
-          fail("policy-differential: flow cache says " + describe_match(cached) +
-               ", linear says " + describe_match(got) + " for " + t.to_string() +
-               " on " + what);
-          return checks;
-        }
-      } else {
-        cache.insert(t, cm.result);
+      if (const auto bad = matcher_mismatch(matchers, t, got); !bad.empty()) {
+        fail("policy-differential: " + bad + " for " + t.to_string() + " on " + what);
+        return checks;
       }
     }
   }
 
-  const auto& st = cache.stats();
+  const auto& st = matchers.back().flow_cache().stats();
   if (st.lookups != st.hits + st.misses) {
     fail("policy-flow-cache: lookups=" + std::to_string(st.lookups) +
          " != hits=" + std::to_string(st.hits) + " + misses=" +
@@ -587,6 +617,24 @@ link::FaultProfile random_fault_profile(sim::Random& rng) {
   return p;
 }
 
+// Matching backend of one firewall card: linear half the time, each
+// counterfactual backend one time in six. Drawn from the kBackendSalt
+// stream, so every other draw of a seed stays what it was before backends
+// were drawn.
+firewall::MatchBackend random_backend(sim::Random& rng) {
+  switch (rng.uniform(6)) {
+    case 0: return firewall::MatchBackend::kLinearStateful;
+    case 1: return firewall::MatchBackend::kCompiled;
+    case 2: return firewall::MatchBackend::kCompiledFlowCache;
+    default: return firewall::MatchBackend::kLinear;
+  }
+}
+
+bool is_card(core::FirewallKind kind) {
+  return kind == core::FirewallKind::kEfw || kind == core::FirewallKind::kAdf ||
+         kind == core::FirewallKind::kAdfVpg;
+}
+
 Scenario generate_scenario(std::uint64_t seed) {
   sim::Random rng(core::derive_point_seed(seed ^ kScenarioSalt, 0));
   Scenario s;
@@ -633,6 +681,11 @@ Scenario generate_scenario(std::uint64_t seed) {
   }
   s.testbed.seed = seed;
   s.testbed.fault_profile = s.faults ? std::optional(s.profile) : std::nullopt;
+  if (is_card(s.testbed.firewall)) {
+    // The iptables model is linear-only, so only cards draw a backend.
+    sim::Random backend_rng(core::derive_point_seed(seed ^ kBackendSalt, 0));
+    s.testbed.match_backend = random_backend(backend_rng);
+  }
 
   if (rng.bernoulli(0.85)) {
     TransferPlan t;
@@ -682,6 +735,7 @@ std::string scenario_to_json(const Scenario& s) {
     w.key("hosts").value(s.star_hosts);
   } else {
     w.key("firewall").value(core::to_string(s.testbed.firewall));
+    w.key("backend").value(firewall::to_string(s.testbed.match_backend));
     w.key("depth").value(s.testbed.action_rule_depth);
     w.key("flood_action")
         .value(s.testbed.flood_action == firewall::RuleAction::kAllow ? "allow"
@@ -725,6 +779,9 @@ std::string scenario_summary(const Scenario& s) {
                            : std::string("testbed fw=") +
                                  core::to_string(s.testbed.firewall) +
                                  " depth=" + std::to_string(s.testbed.action_rule_depth);
+  if (!s.star && is_card(s.testbed.firewall)) {
+    out += std::string(" backend=") + firewall::to_string(s.testbed.match_backend);
+  }
   out += " transfers=" + std::to_string(s.transfers.size());
   if (!s.star && s.flood) out += " flood";
   if (s.faults) out += " faults";
@@ -1071,6 +1128,7 @@ struct FabricScenario {
   int group = 4;   // hosts per leaf / per edge switch
   int spines = 1;  // leaf-spine only
   std::vector<core::FirewallKind> nic_kinds;  // per host
+  std::vector<firewall::MatchBackend> nic_backends;  // per host; cards only
   int padding_rules = 0;  // inert deny rules ahead of the allow-all default
   std::vector<TransferPlan> transfers;
 };
@@ -1088,6 +1146,11 @@ FabricScenario generate_fabric_scenario(std::uint64_t seed) {
     s.nic_kinds.push_back(k == 0   ? core::FirewallKind::kEfw
                           : k == 1 ? core::FirewallKind::kAdf
                                    : core::FirewallKind::kNone);
+  }
+  sim::Random backend_rng(core::derive_point_seed(seed ^ kBackendSalt, 1));
+  for (const core::FirewallKind kind : s.nic_kinds) {
+    s.nic_backends.push_back(is_card(kind) ? random_backend(backend_rng)
+                                           : firewall::MatchBackend::kLinear);
   }
   s.padding_rules = static_cast<int>(rng.uniform(16));
   const int n_transfers = static_cast<int>(1 + rng.uniform(3));
@@ -1109,6 +1172,7 @@ std::unique_ptr<core::Fabric> build_fabric(sim::Simulation& sim,
   auto nic_for = [&s](int index) {
     core::NicSpec nic;
     nic.kind = s.nic_kinds[static_cast<std::size_t>(index)];
+    nic.backend = s.nic_backends[static_cast<std::size_t>(index)];
     return nic;
   };
   std::unique_ptr<core::Fabric> fabric;
@@ -1206,9 +1270,19 @@ void run_fabric_scenario(const FabricScenario& s, std::uint64_t seed,
 }
 
 std::string fabric_summary(const FabricScenario& s) {
-  return std::string(" | fabric ") + (s.tree ? "tree" : "leaf-spine") +
-         " hosts=" + std::to_string(s.hosts) + " transfers=" +
-         std::to_string(s.transfers.size());
+  std::string out = std::string(" | fabric ") + (s.tree ? "tree" : "leaf-spine") +
+                    " hosts=" + std::to_string(s.hosts) + " transfers=" +
+                    std::to_string(s.transfers.size()) + " cards";
+  for (const auto backend :
+       {firewall::MatchBackend::kLinear, firewall::MatchBackend::kLinearStateful,
+        firewall::MatchBackend::kCompiled, firewall::MatchBackend::kCompiledFlowCache}) {
+    int cards = 0;
+    for (std::size_t i = 0; i < s.nic_kinds.size(); ++i) {
+      cards += is_card(s.nic_kinds[i]) && s.nic_backends[i] == backend;
+    }
+    out += std::string(" ") + firewall::to_string(backend) + "=" + std::to_string(cards);
+  }
+  return out;
 }
 
 }  // namespace

@@ -4,7 +4,9 @@
 // paper's four-host testbed with a random firewall configuration, or a
 // star of 2..6 plain hosts), a random rule-set, a random traffic mix
 // (bulk TCP transfers, packet floods, pings), and a random link fault
-// profile. The case runs to quiescence and a set of invariant oracles is
+// profile. Every firewall card (testbed and fabric) draws its matching
+// backend: linear half the time, else stateful, compiled or
+// compiled+flowcache. The case runs to quiescence and a set of invariant oracles is
 // checked:
 //
 //  * conservation — per link direction, frames received equals frames
@@ -20,9 +22,9 @@
 //    linear walk), an independent naive reference matcher, and the
 //    compiled classifier must produce bit-identical verdicts (action,
 //    matched rule, and traversal counters) on >= 10k random packets and
-//    tuples, including VPG-encapsulated frames; a flow cache shared
-//    across rule-set rebuilds (generation-bumped on each push) must only
-//    ever surface verdicts equal to the current linear verdict.
+//    tuples, including VPG-encapsulated frames; then one card Matcher per
+//    compiled backend, kept across rule-set pushes, must return the same
+//    full verdict, so its flow cache never surfaces a previous push's.
 //
 // Failures reproduce deterministically: re-running the printed seed (or a
 // scenario file written by a failing run) rebuilds the identical case.
