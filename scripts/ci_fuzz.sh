@@ -1,13 +1,19 @@
 #!/usr/bin/env bash
 # Run the randomized scenario fuzzer (tests/fuzz/) under sanitizers.
 #
-#   1. ASan + UBSan build, 100 sequential seeds — memory safety and UB over
-#      randomized topologies, rule-sets, traffic mixes, and fault profiles.
+#   1. ASan + UBSan build with libstdc++ assertions (_GLIBCXX_ASSERTIONS,
+#      set by the ASAN CMake option: bounds checks on vector/span/array
+#      operator[], span::first/subspan, optional::operator*), 100 sequential
+#      seeds — memory safety and UB over randomized topologies, rule-sets,
+#      traffic mixes, and fault profiles.
 #      Each seed's differential oracle is three-way: naive reference vs the
 #      linear matcher vs the compiled classifier, then one card Matcher per
 #      compiled backend (its flow cache generation-bumped across rule-set
 #      pushes), VPG frames included. Every firewall card in a scenario draws
 #      its matching backend (linear, stateful, compiled, compiled+flowcache).
+#      Every frame a host's tap sees, fault-corrupted ones included, is
+#      parsed by FrameView::parse and by the reference parser, which must
+#      agree; the run prints how many frames each scenario family checked.
 #   2. Short TSan pass with --jobs 4 — seeds are shared-nothing simulations
 #      distributed over the sweep-runner thread pool; TSan proves it.
 #

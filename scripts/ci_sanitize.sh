@@ -1,11 +1,15 @@
 #!/usr/bin/env bash
-# Configure, build, and run the full test suite under ASan + UBSan.
+# Configure, build, and run the full test suite under ASan + UBSan, with
+# libstdc++ assertions on.
 #
 # Usage: scripts/ci_sanitize.sh [build-dir]   (default: build-asan)
 #
 # Any sanitizer report fails the run: halt_on_error aborts the offending
 # test, and -fno-sanitize-recover=all (set by the ASAN CMake option) turns
-# every UBSan diagnostic into an abort as well.
+# every UBSan diagnostic into an abort as well. The ASAN option also defines
+# _GLIBCXX_ASSERTIONS, which bounds-checks operator[] on vectors, spans and
+# arrays, span::first/last/subspan and optional::operator*: the fixed-offset
+# header loads and stores in src/net run under those checks here.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."

@@ -1,10 +1,10 @@
 #include "firewall/vpg.h"
 
+#include <algorithm>
 #include <cstring>
 
 #include "crypto/hmac.h"
 #include "net/ethernet.h"
-#include "util/byte_io.h"
 #include "util/heap_bytes.h"
 
 namespace barb::firewall {
@@ -79,27 +79,25 @@ bool VpgTable::encapsulate_into(std::uint32_t vpg_id,
   vh.orig_protocol = ip.protocol;
   vh.payload_len =
       static_cast<std::uint16_t>(inner.size() + crypto::Aead::kTagSize);
-  const auto aad = vh.to_bytes();
 
-  // Ethernet | IPv4 | VPG header | plaintext, then seal the plaintext where
-  // it lies and append the tag.
-  out.reserve(net::EthernetHeader::kSize + net::Ipv4Header::kSize + new_payload);
-  ByteWriter w(out);
-  w.bytes(frame.first(net::EthernetHeader::kSize));  // Ethernet unchanged
-
+  // Ethernet | IPv4 | VPG header | plaintext | tag, then seal the plaintext
+  // where it lies. The buffer is sized once; its zero fill is the padding.
+  constexpr std::size_t kHeaders = net::EthernetHeader::kSize + net::Ipv4Header::kSize;
+  out.resize(std::max(kHeaders + new_payload, net::kEthernetMinFrameNoFcs));
+  const std::span<std::uint8_t> bytes(out);
+  std::copy(frame.begin(), frame.begin() + net::EthernetHeader::kSize, bytes.begin());
   net::Ipv4Header new_ip = ip;
   new_ip.protocol = static_cast<std::uint8_t>(net::IpProtocol::kVpg);
   new_ip.total_length = static_cast<std::uint16_t>(net::Ipv4Header::kSize + new_payload);
-  new_ip.serialize(w);
-  w.bytes(aad);
-  const std::size_t body = out.size();
-  w.bytes(inner);
-  const auto tag = crypto::Aead::seal_in_place(g.key, nonce_for(ip.src.value(), vh.seq),
-                                               aad, std::span(out).subspan(body));
-  w.bytes(tag);
-  if (out.size() < net::kEthernetMinFrameNoFcs) {
-    w.zeros(net::kEthernetMinFrameNoFcs - out.size());
-  }
+  new_ip.write(bytes.subspan<net::EthernetHeader::kSize, net::Ipv4Header::kSize>());
+  const auto aad = bytes.subspan<kHeaders, net::VpgHeader::kSize>();
+  vh.write(aad);
+  constexpr std::size_t kBody = kHeaders + net::VpgHeader::kSize;
+  const auto body = bytes.subspan(kBody, inner.size());
+  std::copy(inner.begin(), inner.end(), body.begin());
+  const auto tag =
+      crypto::Aead::seal_in_place(g.key, nonce_for(ip.src.value(), vh.seq), aad, body);
+  std::copy(tag.begin(), tag.end(), bytes.subspan(kBody + inner.size(), tag.size()).begin());
 
   ++stats_.encapsulated;
   return true;
@@ -125,18 +123,20 @@ bool VpgTable::decapsulate_into(std::span<const std::uint8_t> frame,
 
   // Ethernet | IPv4 | ciphertext, then open the ciphertext where it lies.
   // The AAD is the re-serialized header (reserved byte zero), not the raw
-  // header bytes.
-  out.reserve(net::EthernetHeader::kSize + net::Ipv4Header::kSize + plain_size);
-  ByteWriter w(out);
-  w.bytes(frame.first(net::EthernetHeader::kSize));
+  // header bytes. The buffer is sized once; its zero fill is the padding.
+  constexpr std::size_t kHeaders = net::EthernetHeader::kSize + net::Ipv4Header::kSize;
+  out.resize(std::max(kHeaders + plain_size, net::kEthernetMinFrameNoFcs));
+  const std::span<std::uint8_t> bytes(out);
+  std::copy(frame.begin(), frame.begin() + net::EthernetHeader::kSize, bytes.begin());
   net::Ipv4Header new_ip = *view.ip;
   new_ip.protocol = vh.orig_protocol;
   new_ip.total_length = static_cast<std::uint16_t>(net::Ipv4Header::kSize + plain_size);
-  new_ip.serialize(w);
-  const std::size_t body = out.size();
-  w.bytes(sealed.first(plain_size));
+  new_ip.write(bytes.subspan<net::EthernetHeader::kSize, net::Ipv4Header::kSize>());
+  const auto body = bytes.subspan(kHeaders, plain_size);
+  const auto ciphertext = sealed.first(plain_size);
+  std::copy(ciphertext.begin(), ciphertext.end(), body.begin());
   if (!crypto::Aead::open_in_place(g.key, nonce_for(view.ip->src.value(), vh.seq),
-                                   vh.to_bytes(), std::span(out).subspan(body),
+                                   vh.to_bytes(), body,
                                    sealed.last<crypto::Aead::kTagSize>())) {
     ++stats_.auth_failures;
     return false;
@@ -146,9 +146,6 @@ bool VpgTable::decapsulate_into(std::span<const std::uint8_t> frame,
   if (!replay_check_and_update(g.rx[view.ip->src.value()], vh.seq)) {
     ++stats_.replays_dropped;
     return false;
-  }
-  if (out.size() < net::kEthernetMinFrameNoFcs) {
-    w.zeros(net::kEthernetMinFrameNoFcs - out.size());
   }
 
   ++stats_.decapsulated;

@@ -1,8 +1,10 @@
 // Ethernet II framing.
 #pragma once
 
+#include <array>
 #include <cstdint>
-#include <optional>
+#include <cstring>
+#include <span>
 
 #include "net/mac_address.h"
 #include "util/byte_io.h"
@@ -15,6 +17,7 @@ enum class EtherType : std::uint16_t {
   kArp = 0x0806,
 };
 
+// Wire layout: dst(6) | src(6) | ethertype(2).
 struct EthernetHeader {
   static constexpr std::size_t kSize = 14;
 
@@ -22,23 +25,19 @@ struct EthernetHeader {
   MacAddress src;
   std::uint16_t ethertype = 0;
 
-  void serialize(ByteWriter& w) const {
-    w.bytes(dst.bytes());
-    w.bytes(src.bytes());
-    w.u16(ethertype);
+  void write(std::span<std::uint8_t, kSize> out) const {
+    std::memcpy(out.data(), dst.bytes().data(), 6);
+    std::memcpy(out.data() + 6, src.bytes().data(), 6);
+    store_be16(out.data() + 12, ethertype);
   }
 
-  static std::optional<EthernetHeader> parse(ByteReader& r) {
-    EthernetHeader h;
-    auto d = r.bytes(6), s = r.bytes(6);
-    h.ethertype = r.u16();
-    if (!r.ok()) return std::nullopt;
-    std::array<std::uint8_t, 6> tmp;
-    std::copy(d.begin(), d.end(), tmp.begin());
-    h.dst = MacAddress(tmp);
-    std::copy(s.begin(), s.end(), tmp.begin());
-    h.src = MacAddress(tmp);
-    return h;
+  void read(std::span<const std::uint8_t, kSize> in) {
+    std::array<std::uint8_t, 6> mac;
+    std::memcpy(mac.data(), in.data(), 6);
+    dst = MacAddress(mac);
+    std::memcpy(mac.data(), in.data() + 6, 6);
+    src = MacAddress(mac);
+    ethertype = load_be16(in.data() + 12);
   }
 };
 

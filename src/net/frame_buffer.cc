@@ -4,7 +4,7 @@ namespace barb::net {
 
 const ParsedHeaders& FrameBuffer::parsed() const {
   if (parsed_ == nullptr) {
-    parsed_ = std::make_unique<ParsedHeaders>(ParsedHeaders::parse(bytes()));
+    parsed_ = std::make_unique<ParsedHeaders>(bytes());
     if (pool_ != nullptr) ++pool_->stats_.parses;
   } else if (pool_ != nullptr) {
     ++pool_->stats_.parse_hits;

@@ -9,14 +9,15 @@
 //
 // Buffers come from a BufferPool organised in size classes. Releasing the
 // last reference recycles the buffer (storage allocation and all) onto the
-// class freelist, so a steady-state flood run performs no per-frame heap
-// allocation at all. Frames larger than the biggest class, or acquired while
-// a class is at its live cap, fall back to plain heap buffers (counted, so
-// the telemetry shows when the pool is undersized).
+// class freelist, so once the pool is warm, building a frame allocates
+// nothing. Frames larger than the biggest class, or acquired while a class
+// is at its live cap, fall back to plain heap buffers (counted, so the
+// telemetry shows when the pool is undersized).
 //
 // Each buffer also lazily caches the frame's ParsedHeaders: the first layer
 // to ask pays for one parse, every later layer — including other handles to
-// the same buffer on a broadcast — reads the cache.
+// the same buffer on a broadcast — reads the cache. The cache entry is the
+// one heap allocation left per frame (one per parsed buffer).
 //
 // Threading: one simulation runs entirely on one thread, and the default
 // pool is thread-local (one per worker of the parallel sweep runner), so a

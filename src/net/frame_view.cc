@@ -2,81 +2,77 @@
 
 namespace barb::net {
 
+namespace {
+
+constexpr std::size_t kIpOffset = EthernetHeader::kSize;
+constexpr std::size_t kIpPayloadOffset = EthernetHeader::kSize + Ipv4Header::kSize;
+
+}  // namespace
+
 std::optional<FrameView> FrameView::parse(std::span<const std::uint8_t> frame) {
-  ByteReader r(frame);
-  auto eth = EthernetHeader::parse(r);
-  if (!eth) return std::nullopt;
-
-  FrameView v;
-  v.eth = *eth;
-  if (eth->ethertype != static_cast<std::uint16_t>(EtherType::kIpv4)) return v;
-
-  // Keep a copy of the reader position: IP payload length comes from the IP
-  // header's total_length, not from the frame size (frames may be padded to
-  // the Ethernet minimum).
-  const std::size_t ip_start = r.position();
-  auto ip = Ipv4Header::parse(r);
-  if (!ip) return v;
-  if (ip->total_length < Ipv4Header::kSize) return v;
-  const std::size_t payload_len = ip->total_length - Ipv4Header::kSize;
-  if (frame.size() < ip_start + ip->total_length) return v;
-  v.ip = *ip;
-  v.l3_payload = frame.subspan(ip_start + Ipv4Header::kSize, payload_len);
-
-  ByteReader lr(v.l3_payload);
-  switch (static_cast<IpProtocol>(ip->protocol)) {
-    case IpProtocol::kTcp: {
-      auto tcp = TcpHeader::parse(lr);
-      if (tcp) {
-        v.tcp = *tcp;
-        v.l4_payload = lr.rest();
-      }
-      break;
-    }
-    case IpProtocol::kUdp: {
-      auto udp = UdpHeader::parse(lr);
-      if (udp && udp->length >= UdpHeader::kSize &&
-          udp->length <= v.l3_payload.size()) {
-        v.udp = *udp;
-        v.l4_payload = v.l3_payload.subspan(UdpHeader::kSize,
-                                            udp->length - UdpHeader::kSize);
-      }
-      break;
-    }
-    case IpProtocol::kIcmp: {
-      auto icmp = IcmpHeader::parse(lr);
-      if (icmp) {
-        v.icmp = *icmp;
-        v.l4_payload = lr.rest();
-      }
-      break;
-    }
-    case IpProtocol::kVpg: {
-      auto vpg = VpgHeader::parse(lr);
-      if (vpg && vpg->payload_len <= lr.remaining()) {
-        v.vpg = *vpg;
-        v.l4_payload = lr.bytes(vpg->payload_len);
-      }
-      break;
-    }
-  }
+  std::optional<FrameView> v(std::in_place);
+  if (!parse_into(frame, *v)) v.reset();
   return v;
 }
 
-std::optional<FiveTuple> FrameView::five_tuple() const {
-  if (!ip) return std::nullopt;
-  FiveTuple t;
-  t.src = ip->src;
-  t.dst = ip->dst;
-  t.protocol = ip->protocol;
-  if (tcp) {
-    t.src_port = tcp->src_port;
-    t.dst_port = tcp->dst_port;
-  } else if (udp) {
-    t.src_port = udp->src_port;
-    t.dst_port = udp->dst_port;
+// Each layer is loaded straight into its place in the view (never built
+// aside and copied in), and a layer that fails its checks is disengaged.
+bool FrameView::parse_into(std::span<const std::uint8_t> frame, FrameView& v) {
+  if (frame.size() < EthernetHeader::kSize) return false;
+  v.eth.read(frame.first<EthernetHeader::kSize>());
+  if (v.eth.ethertype != static_cast<std::uint16_t>(EtherType::kIpv4)) return true;
+
+  // The IP payload length comes from the IP header's total_length, not from
+  // the frame size (frames may be padded to the Ethernet minimum).
+  if (frame.size() < kIpPayloadOffset) return true;
+  Ipv4Header& ip = v.ip.emplace();
+  if (!ip.read(frame.subspan<kIpOffset, Ipv4Header::kSize>()) ||
+      ip.total_length < Ipv4Header::kSize || frame.size() - kIpOffset < ip.total_length) {
+    v.ip.reset();
+    return true;
   }
-  return t;
+  const auto l3 = frame.subspan(kIpPayloadOffset, ip.total_length - Ipv4Header::kSize);
+  v.l3_payload = l3;
+
+  switch (static_cast<IpProtocol>(ip.protocol)) {
+    case IpProtocol::kTcp: {
+      if (!v.tcp.emplace().read(l3)) {
+        v.tcp.reset();
+        break;
+      }
+      v.l4_payload = l3.subspan(TcpHeader::header_length(l3.first<TcpHeader::kMinSize>()));
+      break;
+    }
+    case IpProtocol::kUdp: {
+      if (l3.size() < UdpHeader::kSize) break;
+      UdpHeader& udp = v.udp.emplace();
+      udp.read(l3.first<UdpHeader::kSize>());
+      if (udp.length < UdpHeader::kSize || udp.length > l3.size()) {
+        v.udp.reset();
+        break;
+      }
+      v.l4_payload = l3.subspan(UdpHeader::kSize, udp.length - UdpHeader::kSize);
+      break;
+    }
+    case IpProtocol::kIcmp: {
+      if (l3.size() < IcmpHeader::kSize) break;
+      v.icmp.emplace().read(l3.first<IcmpHeader::kSize>());
+      v.l4_payload = l3.subspan(IcmpHeader::kSize);
+      break;
+    }
+    case IpProtocol::kVpg: {
+      if (l3.size() < VpgHeader::kSize) break;
+      VpgHeader& vpg = v.vpg.emplace();
+      vpg.read(l3.first<VpgHeader::kSize>());
+      if (vpg.payload_len > l3.size() - VpgHeader::kSize) {
+        v.vpg.reset();
+        break;
+      }
+      v.l4_payload = l3.subspan(VpgHeader::kSize, vpg.payload_len);
+      break;
+    }
+  }
+  return true;
 }
 
 }  // namespace barb::net

@@ -3,7 +3,7 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
+#include <span>
 
 #include "util/byte_io.h"
 
@@ -17,6 +17,7 @@ enum class IcmpType : std::uint8_t {
 
 constexpr std::uint8_t kIcmpCodePortUnreachable = 3;
 
+// Wire layout: type(1) | code(1) | checksum(2) | rest(4).
 struct IcmpHeader {
   static constexpr std::size_t kSize = 8;
 
@@ -25,21 +26,21 @@ struct IcmpHeader {
   std::uint16_t checksum = 0;  // filled in by the builder
   std::uint32_t rest = 0;      // echo: id<<16 | seq; unreachable: unused
 
-  void serialize(ByteWriter& w) const {
-    w.u8(type);
-    w.u8(code);
-    w.u16(checksum);
-    w.u32(rest);
+  void write(std::span<std::uint8_t, kSize> out) const {
+    store_be32(out.data(), std::uint32_t{type} << 24 | std::uint32_t{code} << 16 | checksum);
+    store_be32(out.data() + 4, rest);
   }
 
-  static std::optional<IcmpHeader> parse(ByteReader& r) {
-    if (r.remaining() < kSize) return std::nullopt;
-    IcmpHeader h;
-    h.type = r.u8();
-    h.code = r.u8();
-    h.checksum = r.u16();
-    h.rest = r.u32();
-    return h;
+  // Stores the checksum field of a header already in `out`.
+  static void write_checksum(std::span<std::uint8_t, kSize> out, std::uint16_t sum) {
+    store_be16(out.data() + 2, sum);
+  }
+
+  void read(std::span<const std::uint8_t, kSize> in) {
+    type = in[0];
+    code = in[1];
+    checksum = load_be16(in.data() + 2);
+    rest = load_be32(in.data() + 4);
   }
 };
 

@@ -2,7 +2,6 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <span>
 
 #include "net/checksum.h"
@@ -21,6 +20,8 @@ enum class IpProtocol : std::uint8_t {
   kVpg = 250,
 };
 
+// Wire layout: version/IHL(1) | tos(1) | total_length(2) | id(2) |
+// flags/fragment(2) | ttl(1) | protocol(1) | checksum(2) | src(4) | dst(4).
 struct Ipv4Header {
   static constexpr std::size_t kSize = 20;
   static constexpr std::uint8_t kDefaultTtl = 64;
@@ -34,49 +35,35 @@ struct Ipv4Header {
   Ipv4Address src;
   Ipv4Address dst;
 
-  // Serializes with a freshly computed header checksum.
-  void serialize(ByteWriter& w) const {
-    std::vector<std::uint8_t> hdr;
-    hdr.reserve(kSize);
-    ByteWriter hw(hdr);
-    hw.u8(0x45);  // version 4, IHL 5
-    hw.u8(tos);
-    hw.u16(total_length);
-    hw.u16(identification);
-    hw.u16(dont_fragment ? 0x4000 : 0x0000);
-    hw.u8(ttl);
-    hw.u8(protocol);
-    hw.u16(0);  // checksum placeholder
-    hw.u32(src.value());
-    hw.u32(dst.value());
-    const std::uint16_t sum = internet_checksum(hdr);
-    hdr[10] = static_cast<std::uint8_t>(sum >> 8);
-    hdr[11] = static_cast<std::uint8_t>(sum);
-    w.bytes(hdr);
+  // Stores the header a 32-bit word at a time, then its checksum computed
+  // over the words just stored.
+  void write(std::span<std::uint8_t, kSize> out) const {
+    std::uint8_t* p = out.data();
+    store_be32(p, 0x45u << 24 | std::uint32_t{tos} << 16 | total_length);  // version 4, IHL 5
+    store_be32(p + 4, std::uint32_t{identification} << 16 | (dont_fragment ? 0x4000u : 0u));
+    store_be32(p + 8, std::uint32_t{ttl} << 24 | std::uint32_t{protocol} << 16);  // checksum 0
+    store_be32(p + 12, src.value());
+    store_be32(p + 16, dst.value());
+    store_be16(p + 10, internet_checksum(out));
   }
 
-  // Parses and verifies the header checksum; fails on options/fragments
-  // (neither is produced by the simulated stacks).
-  static std::optional<Ipv4Header> parse(ByteReader& r) {
-    if (r.remaining() < kSize) return std::nullopt;
-    std::span<const std::uint8_t> raw = r.bytes(kSize);
-    if (internet_checksum(raw) != 0) return std::nullopt;
-    ByteReader hr(raw);
-    const std::uint8_t ver_ihl = hr.u8();
-    if (ver_ihl != 0x45) return std::nullopt;
-    Ipv4Header h;
-    h.tos = hr.u8();
-    h.total_length = hr.u16();
-    h.identification = hr.u16();
-    const std::uint16_t flags_frag = hr.u16();
-    h.dont_fragment = (flags_frag & 0x4000) != 0;
-    if ((flags_frag & 0x3fff) != 0) return std::nullopt;  // fragments unsupported
-    h.ttl = hr.u8();
-    h.protocol = hr.u8();
-    hr.u16();  // checksum (verified above)
-    h.src = Ipv4Address(hr.u32());
-    h.dst = Ipv4Address(hr.u32());
-    return h;
+  // Loads the header into this one after verifying its checksum; false
+  // (fields untouched) on a bad checksum, options or fragments (the
+  // simulated stacks produce neither).
+  bool read(std::span<const std::uint8_t, kSize> in) {
+    const std::uint8_t* p = in.data();
+    if (internet_checksum(in) != 0 || p[0] != 0x45) return false;
+    const std::uint16_t flags_frag = load_be16(p + 6);
+    if ((flags_frag & 0x3fff) != 0) return false;  // fragments unsupported
+    tos = p[1];
+    total_length = load_be16(p + 2);
+    identification = load_be16(p + 4);
+    dont_fragment = (flags_frag & 0x4000) != 0;
+    ttl = p[8];
+    protocol = p[9];
+    src = Ipv4Address(load_be32(p + 12));
+    dst = Ipv4Address(load_be32(p + 16));
+    return true;
   }
 };
 

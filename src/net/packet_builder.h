@@ -4,11 +4,16 @@
 // the host stacks and by the flood generator (which crafts frames directly,
 // like the paper's raw-socket generator).
 //
-// Each builder has two forms: the vector form allocates a fresh byte vector
-// (convenient for tests and policy/one-shot traffic), and the *_pooled form
-// writes the frame straight into a recycled BufferPool buffer — the hot-path
-// form used by the host stack and the flood generator, which performs no
-// heap allocation once the pool is warm.
+// Each builder sizes its buffer once to the padded frame (the zero fill is
+// the Ethernet padding), stores every header at its offset through the
+// header structs' write(), copies the payload, and computes each checksum
+// once over the bytes just written.
+//
+// The TCP, UDP and ICMP builders have two forms: the vector form allocates
+// a fresh byte vector (convenient for tests and one-shot traffic), and the
+// *_pooled form writes the frame straight into a recycled BufferPool buffer
+// — the hot-path form used by the host stack and the flood generator, which
+// performs no heap allocation once the pool is warm.
 #pragma once
 
 #include <cstdint>
@@ -30,18 +35,15 @@ struct IpEndpoints {
   MacAddress dst_mac;
 };
 
-// Wraps an IP payload into Ethernet+IPv4, padding to the Ethernet minimum.
+// Wraps an IP payload into Ethernet+IPv4, padding to the Ethernet minimum
+// (tests use it to craft VPG and malformed frames).
 std::vector<std::uint8_t> build_ipv4_frame(const IpEndpoints& ep, IpProtocol protocol,
                                            std::span<const std::uint8_t> ip_payload,
                                            std::uint16_t ip_id = 0,
                                            std::uint8_t ttl = Ipv4Header::kDefaultTtl);
-FrameBufferRef build_ipv4_frame_pooled(BufferPool& pool, const IpEndpoints& ep,
-                                       IpProtocol protocol,
-                                       std::span<const std::uint8_t> ip_payload,
-                                       std::uint16_t ip_id = 0,
-                                       std::uint8_t ttl = Ipv4Header::kDefaultTtl);
 
-// UDP datagram with a valid transport checksum.
+// UDP datagram with a valid transport checksum; a checksum that computes to
+// zero is sent as 0xffff (RFC 768), since zero means "not computed".
 std::vector<std::uint8_t> build_udp_frame(const IpEndpoints& ep, std::uint16_t src_port,
                                           std::uint16_t dst_port,
                                           std::span<const std::uint8_t> payload,

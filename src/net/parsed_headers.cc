@@ -2,11 +2,12 @@
 
 namespace barb::net {
 
-ParsedHeaders ParsedHeaders::parse(std::span<const std::uint8_t> frame) {
-  ParsedHeaders p;
-  p.view = FrameView::parse(frame);
-  if (p.view) p.tuple = p.view->five_tuple();
-  return p;
+ParsedHeaders::ParsedHeaders(std::span<const std::uint8_t> frame) : view(std::in_place) {
+  if (FrameView::parse_into(frame, *view)) {
+    tuple = view->five_tuple();
+  } else {
+    view.reset();
+  }
 }
 
 }  // namespace barb::net

@@ -25,7 +25,8 @@ struct ParsedHeaders {
   // for non-IP frames.
   std::optional<FiveTuple> tuple;
 
-  static ParsedHeaders parse(std::span<const std::uint8_t> frame);
+  // Parses `frame` straight into this object (no intermediate FrameView).
+  explicit ParsedHeaders(std::span<const std::uint8_t> frame);
 };
 
 }  // namespace barb::net

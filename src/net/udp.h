@@ -2,12 +2,13 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
+#include <span>
 
 #include "util/byte_io.h"
 
 namespace barb::net {
 
+// Wire layout: src_port(2) | dst_port(2) | length(2) | checksum(2).
 struct UdpHeader {
   static constexpr std::size_t kSize = 8;
 
@@ -16,21 +17,21 @@ struct UdpHeader {
   std::uint16_t length = 0;    // header + payload
   std::uint16_t checksum = 0;  // filled in by the builder
 
-  void serialize(ByteWriter& w) const {
-    w.u16(src_port);
-    w.u16(dst_port);
-    w.u16(length);
-    w.u16(checksum);
+  void write(std::span<std::uint8_t, kSize> out) const {
+    store_be32(out.data(), std::uint32_t{src_port} << 16 | dst_port);
+    store_be32(out.data() + 4, std::uint32_t{length} << 16 | checksum);
   }
 
-  static std::optional<UdpHeader> parse(ByteReader& r) {
-    if (r.remaining() < kSize) return std::nullopt;
-    UdpHeader h;
-    h.src_port = r.u16();
-    h.dst_port = r.u16();
-    h.length = r.u16();
-    h.checksum = r.u16();
-    return h;
+  // Stores the checksum field of a header already in `out`.
+  static void write_checksum(std::span<std::uint8_t, kSize> out, std::uint16_t sum) {
+    store_be16(out.data() + 6, sum);
+  }
+
+  void read(std::span<const std::uint8_t, kSize> in) {
+    src_port = load_be16(in.data());
+    dst_port = load_be16(in.data() + 2);
+    length = load_be16(in.data() + 4);
+    checksum = load_be16(in.data() + 6);
   }
 };
 

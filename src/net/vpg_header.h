@@ -10,7 +10,7 @@
 
 #include <array>
 #include <cstdint>
-#include <optional>
+#include <span>
 
 #include "util/byte_io.h"
 
@@ -27,31 +27,25 @@ struct VpgHeader {
   std::uint8_t orig_protocol = 0;
   std::uint16_t payload_len = 0;  // sealed payload length (incl. tag)
 
-  // The wire bytes; the reserved byte is always written as zero. VPG frames
-  // authenticate these bytes as AAD.
+  // Stores the wire bytes; the reserved byte is always written as zero.
+  // VPG frames authenticate these bytes as AAD.
+  void write(std::span<std::uint8_t, kSize> out) const {
+    store_be32(out.data(), vpg_id);
+    store_be64(out.data() + 4, seq);
+    store_be32(out.data() + 12, std::uint32_t{orig_protocol} << 24 | payload_len);
+  }
+
   std::array<std::uint8_t, kSize> to_bytes() const {
-    std::array<std::uint8_t, kSize> b{};
-    for (std::size_t i = 0; i < 4; ++i) b[i] = static_cast<std::uint8_t>(vpg_id >> (24 - 8 * i));
-    for (std::size_t i = 0; i < 8; ++i) b[4 + i] = static_cast<std::uint8_t>(seq >> (56 - 8 * i));
-    b[12] = orig_protocol;
-    b[14] = static_cast<std::uint8_t>(payload_len >> 8);
-    b[15] = static_cast<std::uint8_t>(payload_len);
+    std::array<std::uint8_t, kSize> b;
+    write(b);
     return b;
   }
 
-  void serialize(ByteWriter& w) const {
-    for (const std::uint8_t b : to_bytes()) w.u8(b);
-  }
-
-  static std::optional<VpgHeader> parse(ByteReader& r) {
-    if (r.remaining() < kSize) return std::nullopt;
-    VpgHeader h;
-    h.vpg_id = r.u32();
-    h.seq = r.u64();
-    h.orig_protocol = r.u8();
-    r.u8();
-    h.payload_len = r.u16();
-    return h;
+  void read(std::span<const std::uint8_t, kSize> in) {
+    vpg_id = load_be32(in.data());
+    seq = load_be64(in.data() + 4);
+    orig_protocol = in[12];
+    payload_len = load_be16(in.data() + 14);
   }
 };
 

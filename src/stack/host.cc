@@ -1,5 +1,7 @@
 #include "stack/host.h"
 
+#include <algorithm>
+#include <array>
 #include <utility>
 #include <vector>
 
@@ -77,23 +79,41 @@ std::uint16_t Host::allocate_ephemeral_port() {
   return 0;
 }
 
-bool Host::send_ip(net::IpProtocol protocol, net::Ipv4Address dst,
-                   std::span<const std::uint8_t> ip_payload) {
+std::optional<net::IpEndpoints> Host::endpoints_to(net::Ipv4Address dst) const {
   const auto dst_mac = arp_.lookup(dst);
   if (!dst_mac) {
     BARB_DEBUG("%s: no ARP entry for %s", name_.c_str(), dst.to_string().c_str());
-    return false;
+    return std::nullopt;
   }
   net::IpEndpoints ep;
   ep.src_ip = ip_;
   ep.dst_ip = dst;
   ep.src_mac = nic_->mac();
   ep.dst_mac = *dst_mac;
-  auto frame = net::build_ipv4_frame_pooled(net::BufferPool::instance(), ep,
-                                            protocol, ip_payload, next_ip_id());
+  return ep;
+}
+
+bool Host::send_tcp(net::Ipv4Address dst, const net::TcpHeader& header,
+                    std::span<const std::uint8_t> payload) {
+  const auto ep = endpoints_to(dst);
+  if (!ep) return false;
+  send_built(net::build_tcp_frame_pooled(net::BufferPool::instance(), *ep, header,
+                                         payload, next_ip_id()));
+  return true;
+}
+
+bool Host::send_udp(net::Ipv4Address dst, std::uint16_t src_port, std::uint16_t dst_port,
+                    std::span<const std::uint8_t> payload) {
+  const auto ep = endpoints_to(dst);
+  if (!ep) return false;
+  send_built(net::build_udp_frame_pooled(net::BufferPool::instance(), *ep, src_port,
+                                         dst_port, payload, next_ip_id()));
+  return true;
+}
+
+void Host::send_built(net::FrameBufferRef frame) {
   ++stats_.ip_tx;
   send_frame(net::Packet{std::move(frame), sim_.now(), next_packet_id()});
-  return true;
 }
 
 void Host::send_frame(net::Packet pkt) {
@@ -177,20 +197,13 @@ bool Host::verify_transport_checksum(const net::FrameView& v) const {
 
 bool Host::send_echo_request(net::Ipv4Address dst, std::uint16_t id,
                              std::uint16_t seq, std::size_t payload_bytes) {
-  const auto dst_mac = arp_.lookup(dst);
-  if (!dst_mac) return false;
-  net::IpEndpoints ep;
-  ep.src_ip = ip_;
-  ep.dst_ip = dst;
-  ep.src_mac = nic_->mac();
-  ep.dst_mac = *dst_mac;
+  const auto ep = endpoints_to(dst);
+  if (!ep) return false;
   const std::vector<std::uint8_t> payload(payload_bytes, 0x5a);
-  auto frame = net::build_icmp_frame_pooled(
-      net::BufferPool::instance(), ep,
+  send_built(net::build_icmp_frame_pooled(
+      net::BufferPool::instance(), *ep,
       static_cast<std::uint8_t>(net::IcmpType::kEchoRequest), 0,
-      static_cast<std::uint32_t>(id) << 16 | seq, payload, next_ip_id());
-  ++stats_.ip_tx;
-  send_frame(net::Packet{std::move(frame), sim_.now(), next_packet_id()});
+      static_cast<std::uint32_t>(id) << 16 | seq, payload, next_ip_id()));
   return true;
 }
 
@@ -203,20 +216,13 @@ void Host::handle_icmp(const net::FrameView& v) {
     return;
   }
   if (v.icmp->type == static_cast<std::uint8_t>(net::IcmpType::kEchoRequest)) {
-    const auto dst_mac = arp_.lookup(v.ip->src);
-    if (!dst_mac) return;
-    net::IpEndpoints ep;
-    ep.src_ip = ip_;
-    ep.dst_ip = v.ip->src;
-    ep.src_mac = nic_->mac();
-    ep.dst_mac = *dst_mac;
-    auto frame = net::build_icmp_frame_pooled(
-        net::BufferPool::instance(), ep,
-        static_cast<std::uint8_t>(net::IcmpType::kEchoReply), 0, v.icmp->rest,
-        v.l4_payload, next_ip_id());
+    const auto ep = endpoints_to(v.ip->src);
+    if (!ep) return;
     ++stats_.icmp_echo_replies;
-    ++stats_.ip_tx;
-    send_frame(net::Packet{std::move(frame), sim_.now(), next_packet_id()});
+    send_built(net::build_icmp_frame_pooled(
+        net::BufferPool::instance(), *ep,
+        static_cast<std::uint8_t>(net::IcmpType::kEchoReply), 0, v.icmp->rest,
+        v.l4_payload, next_ip_id()));
   }
   // Destination-unreachable and echo replies are counted by interested
   // sockets/apps; the base stack drops them silently like a host with no
@@ -230,28 +236,23 @@ void Host::send_icmp_port_unreachable(const net::FrameView& original) {
     ++stats_.icmp_unreachable_suppressed;
     return;
   }
-  const auto dst_mac = arp_.lookup(original.ip->src);
-  if (!dst_mac) return;
+  const auto ep = endpoints_to(original.ip->src);
+  if (!ep) return;
 
   // Quote the original IP header + first 8 payload bytes, per RFC 792.
-  std::vector<std::uint8_t> quote;
-  ByteWriter qw(quote);
-  original.ip->serialize(qw);
-  const auto head = original.l3_payload.first(std::min<std::size_t>(8, original.l3_payload.size()));
-  qw.bytes(head);
+  constexpr std::size_t kQuotedPayload = 8;
+  std::array<std::uint8_t, net::Ipv4Header::kSize + kQuotedPayload> quote;
+  original.ip->write(std::span(quote).first<net::Ipv4Header::kSize>());
+  const auto head =
+      original.l3_payload.first(std::min(kQuotedPayload, original.l3_payload.size()));
+  std::copy(head.begin(), head.end(), quote.begin() + net::Ipv4Header::kSize);
 
-  net::IpEndpoints ep;
-  ep.src_ip = ip_;
-  ep.dst_ip = original.ip->src;
-  ep.src_mac = nic_->mac();
-  ep.dst_mac = *dst_mac;
-  auto frame = net::build_icmp_frame_pooled(
-      net::BufferPool::instance(), ep,
-      static_cast<std::uint8_t>(net::IcmpType::kDestinationUnreachable),
-      net::kIcmpCodePortUnreachable, 0, quote, next_ip_id());
   ++stats_.icmp_unreachable_sent;
-  ++stats_.ip_tx;
-  send_frame(net::Packet{std::move(frame), sim_.now(), next_packet_id()});
+  send_built(net::build_icmp_frame_pooled(
+      net::BufferPool::instance(), *ep,
+      static_cast<std::uint8_t>(net::IcmpType::kDestinationUnreachable),
+      net::kIcmpCodePortUnreachable, 0,
+      std::span(quote).first(net::Ipv4Header::kSize + head.size()), next_ip_id()));
 }
 
 std::size_t Host::stack_memory_bytes() const {

@@ -11,6 +11,8 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
+#include <span>
 #include <string>
 
 #include "link/frame_sink.h"
@@ -111,9 +113,12 @@ class Host : public link::FrameSink {
                                              std::uint16_t dst_port);
 
   // --- internals shared with the transport layers ---
-  // Sends an IP packet; returns false if the destination is unresolvable.
-  bool send_ip(net::IpProtocol protocol, net::Ipv4Address dst,
-               std::span<const std::uint8_t> ip_payload);
+  // Build one TCP segment or UDP datagram straight into a pooled frame and
+  // send it; return false if the destination is unresolvable.
+  bool send_tcp(net::Ipv4Address dst, const net::TcpHeader& header,
+                std::span<const std::uint8_t> payload);
+  bool send_udp(net::Ipv4Address dst, std::uint16_t src_port, std::uint16_t dst_port,
+                std::span<const std::uint8_t> payload);
   std::uint16_t next_ip_id() { return ip_id_++; }
   std::uint64_t next_packet_id() { return packet_id_++; }
   std::uint16_t allocate_ephemeral_port();
@@ -127,6 +132,10 @@ class Host : public link::FrameSink {
   bool verify_transport_checksum(const net::FrameView& v) const;
   void handle_icmp(const net::FrameView& v);
   void send_icmp_port_unreachable(const net::FrameView& original);
+  // This host's endpoints toward `dst`; nullopt when ARP cannot resolve it.
+  std::optional<net::IpEndpoints> endpoints_to(net::Ipv4Address dst) const;
+  // Counts and sends a frame this host built.
+  void send_built(net::FrameBufferRef frame);
   void send_frame(net::Packet pkt);
 
   sim::Simulation& sim_;

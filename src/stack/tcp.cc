@@ -4,10 +4,8 @@
 #include <atomic>
 #include <cmath>
 
-#include "net/checksum.h"
 #include "stack/host.h"
 #include "util/assert.h"
-#include "util/byte_io.h"
 #include "util/heap_bytes.h"
 #include "util/logging.h"
 
@@ -680,17 +678,7 @@ void TcpLayer::send_segment(const net::FiveTuple& key, net::TcpHeader header,
                             std::span<const std::uint8_t> payload) {
   header.src_port = key.src_port;
   header.dst_port = key.dst_port;
-  std::vector<std::uint8_t> segment;
-  segment.reserve(header.size() + payload.size());
-  ByteWriter w(segment);
-  header.checksum = 0;
-  header.serialize(w);
-  w.bytes(payload);
-  const std::uint16_t sum = net::transport_checksum(
-      key.src, key.dst, static_cast<std::uint8_t>(net::IpProtocol::kTcp), segment);
-  segment[16] = static_cast<std::uint8_t>(sum >> 8);
-  segment[17] = static_cast<std::uint8_t>(sum);
-  host_.send_ip(net::IpProtocol::kTcp, key.dst, segment);
+  host_.send_tcp(key.dst, header, payload);
 }
 
 void TcpLayer::handle_segment(const net::FrameView& v) {

@@ -285,7 +285,7 @@ class TcpLayer {
   Host& host() { return host_; }
   TcpConfig make_config() const;
   void notify_accept(const std::shared_ptr<TcpConnection>& conn);
-  // Serializes and sends one segment for a local-perspective tuple.
+  // Builds and sends one segment for a local-perspective tuple.
   void send_segment(const net::FiveTuple& key, net::TcpHeader header,
                     std::span<const std::uint8_t> payload);
   void send_rst_for(const net::FrameView& v);

@@ -1,35 +1,17 @@
 #include "stack/udp.h"
 
-#include <vector>
-
-#include "net/checksum.h"
 #include "net/udp.h"
 #include "stack/host.h"
-#include "util/byte_io.h"
 
 namespace barb::stack {
 
 bool UdpSocket::send_to(net::Ipv4Address dst, std::uint16_t dst_port,
                         std::span<const std::uint8_t> payload) {
-  Host& host = layer_.host_;
   if (net::UdpHeader::kSize + payload.size() + net::Ipv4Header::kSize >
       net::kEthernetMtu) {
     return false;
   }
-  std::vector<std::uint8_t> segment;
-  segment.reserve(net::UdpHeader::kSize + payload.size());
-  ByteWriter w(segment);
-  net::UdpHeader udp;
-  udp.src_port = local_port_;
-  udp.dst_port = dst_port;
-  udp.length = static_cast<std::uint16_t>(net::UdpHeader::kSize + payload.size());
-  udp.serialize(w);
-  w.bytes(payload);
-  const std::uint16_t sum = net::transport_checksum(
-      host.ip(), dst, static_cast<std::uint8_t>(net::IpProtocol::kUdp), segment);
-  segment[6] = static_cast<std::uint8_t>(sum >> 8);
-  segment[7] = static_cast<std::uint8_t>(sum);
-  return host.send_ip(net::IpProtocol::kUdp, dst, segment);
+  return layer_.host_.send_udp(dst, local_port_, dst_port, payload);
 }
 
 void UdpSocket::close() { layer_.close(this); }

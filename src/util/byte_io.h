@@ -4,6 +4,7 @@
 // the real ones, so packet bytes in traces look like real packet bytes.
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <cstring>
 #include <span>
@@ -127,6 +128,58 @@ inline void store_le32(std::uint8_t* p, std::uint32_t v) {
 inline void store_le64(std::uint8_t* p, std::uint64_t v) {
   store_le32(p, static_cast<std::uint32_t>(v));
   store_le32(p + 4, static_cast<std::uint32_t>(v >> 32));
+}
+
+// Big-endian (network order) loads and stores for the fixed-offset header
+// layouts in src/net: one unaligned load or store through memcpy plus a
+// byte swap on little-endian hosts. (The shift-or form above, repeated over
+// a header's adjacent fields, lets GCC 12 reassemble the words on the stack
+// and reload them as one vector, which stalls store forwarding.)
+// Host order <-> big-endian, for the helpers below.
+template <typename T>
+inline T big_endian(T v) {
+  if constexpr (std::endian::native == std::endian::big || sizeof(T) == 1) {
+    return v;
+  } else if constexpr (sizeof(T) == 2) {
+    return __builtin_bswap16(v);
+  } else if constexpr (sizeof(T) == 4) {
+    return __builtin_bswap32(v);
+  } else {
+    return __builtin_bswap64(v);
+  }
+}
+
+inline std::uint16_t load_be16(const std::uint8_t* p) {
+  std::uint16_t v;
+  std::memcpy(&v, p, sizeof(v));
+  return big_endian(v);
+}
+
+inline std::uint32_t load_be32(const std::uint8_t* p) {
+  std::uint32_t v;
+  std::memcpy(&v, p, sizeof(v));
+  return big_endian(v);
+}
+
+inline std::uint64_t load_be64(const std::uint8_t* p) {
+  std::uint64_t v;
+  std::memcpy(&v, p, sizeof(v));
+  return big_endian(v);
+}
+
+inline void store_be16(std::uint8_t* p, std::uint16_t v) {
+  v = big_endian(v);
+  std::memcpy(p, &v, sizeof(v));
+}
+
+inline void store_be32(std::uint8_t* p, std::uint32_t v) {
+  v = big_endian(v);
+  std::memcpy(p, &v, sizeof(v));
+}
+
+inline void store_be64(std::uint8_t* p, std::uint64_t v) {
+  v = big_endian(v);
+  std::memcpy(p, &v, sizeof(v));
 }
 
 inline std::string to_hex(std::span<const std::uint8_t> data) {

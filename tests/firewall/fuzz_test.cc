@@ -69,17 +69,16 @@ TEST(VpgFuzz, RandomFramesNeverAuthenticate) {
   int accepted = 0;
   for (int trial = 0; trial < 1000; ++trial) {
     // A structurally plausible VPG frame with random sealed bytes.
-    std::vector<std::uint8_t> payload;
-    ByteWriter w(payload);
     net::VpgHeader vh;
     vh.vpg_id = 7;
     vh.seq = rng.next_u64();
     vh.orig_protocol = 17;
     const std::size_t sealed = 16 + rng.uniform(200);
     vh.payload_len = static_cast<std::uint16_t>(sealed);
-    vh.serialize(w);
-    for (std::size_t i = 0; i < sealed; ++i) {
-      w.u8(static_cast<std::uint8_t>(rng.next_u64()));
+    std::vector<std::uint8_t> payload(net::VpgHeader::kSize + sealed);
+    vh.write(std::span(payload).first<net::VpgHeader::kSize>());
+    for (std::size_t i = net::VpgHeader::kSize; i < payload.size(); ++i) {
+      payload[i] = static_cast<std::uint8_t>(rng.next_u64());
     }
     auto frame = net::build_ipv4_frame(ep, net::IpProtocol::kVpg, payload);
     if (table.decapsulate(frame)) ++accepted;

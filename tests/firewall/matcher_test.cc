@@ -10,7 +10,6 @@
 #include "net/vpg_header.h"
 #include "sim/simulation.h"
 #include "telemetry/registry.h"
-#include "util/byte_io.h"
 
 namespace barb::firewall {
 namespace {
@@ -187,10 +186,8 @@ TEST(Matcher, VpgAndTuplelessFramesBypassTheFlowTables) {
   header.vpg_id = 7;
   header.orig_protocol = 17;
   header.payload_len = net::VpgHeader::kTagSize;
-  std::vector<std::uint8_t> sealed;
-  ByteWriter writer(sealed);
-  header.serialize(writer);
-  sealed.resize(sealed.size() + header.payload_len);
+  std::vector<std::uint8_t> sealed(net::VpgHeader::kSize + header.payload_len);
+  header.write(std::span(sealed).first<net::VpgHeader::kSize>());
   // A non-IP frame (local experimental EtherType) has no five-tuple.
   std::vector<std::uint8_t> non_ip(60, 0);
   non_ip[12] = 0x88;

@@ -103,15 +103,13 @@ TEST(RuleSet, InboundVpgFrameMatchesById) {
   ep.dst_ip = net::Ipv4Address(10, 0, 0, 40);
   ep.src_mac = net::MacAddress::from_host_id(30);
   ep.dst_mac = net::MacAddress::from_host_id(40);
-  std::vector<std::uint8_t> payload;
-  ByteWriter w(payload);
   net::VpgHeader vh;
   vh.vpg_id = 7;
   vh.seq = 1;
   vh.orig_protocol = 6;
   vh.payload_len = 16;
-  vh.serialize(w);
-  w.zeros(16);
+  std::vector<std::uint8_t> payload(net::VpgHeader::kSize + vh.payload_len);
+  vh.write(std::span(payload).first<net::VpgHeader::kSize>());
   const auto frame = net::build_ipv4_frame(ep, net::IpProtocol::kVpg, payload);
 
   auto view = net::FrameView::parse(frame);
@@ -137,13 +135,11 @@ TEST(RuleSet, InboundVpgFrameDoesNotMatchPlainRules) {
   ep.dst_ip = net::Ipv4Address(10, 0, 0, 40);
   ep.src_mac = net::MacAddress::from_host_id(30);
   ep.dst_mac = net::MacAddress::from_host_id(40);
-  std::vector<std::uint8_t> payload;
-  ByteWriter w(payload);
   net::VpgHeader vh;
   vh.vpg_id = 5;
   vh.payload_len = 16;
-  vh.serialize(w);
-  w.zeros(16);
+  std::vector<std::uint8_t> payload(net::VpgHeader::kSize + vh.payload_len);
+  vh.write(std::span(payload).first<net::VpgHeader::kSize>());
   const auto frame = net::build_ipv4_frame(ep, net::IpProtocol::kVpg, payload);
   auto view = net::FrameView::parse(frame);
   ASSERT_TRUE(view && view->vpg);

@@ -121,8 +121,12 @@ int main(int argc, char** argv) {
   if (have_single) {
     const FuzzOutcome out = barb::fuzz::run_seed(single_seed, options);
     if (out.ok) {
-      std::printf("ok seed=%" PRIu64 " (%s, %" PRIu64 " differential checks)\n",
-                  out.seed, out.summary.c_str(), out.differential_checks);
+      std::printf("ok seed=%" PRIu64 " (%s, %" PRIu64 " differential checks, parse "
+                  "oracle frames: testbed %" PRIu64 ", star %" PRIu64 ", fabric %" PRIu64
+                  ")\n",
+                  out.seed, out.summary.c_str(), out.differential_checks,
+                  out.parse_checks.testbed, out.parse_checks.star,
+                  out.parse_checks.fabric);
       return 0;
     }
     report_failure(out);
@@ -149,9 +153,13 @@ int main(int argc, char** argv) {
 
   std::uint64_t passed = 0;
   std::uint64_t total_checks = 0;
+  FuzzOutcome::ParseChecks parse_checks;
   int failures = 0;
   for (const auto& out : outcomes) {
     total_checks += out.differential_checks;
+    parse_checks.testbed += out.parse_checks.testbed;
+    parse_checks.star += out.parse_checks.star;
+    parse_checks.fabric += out.parse_checks.fabric;
     if (options.verbose) {
       std::printf("%s seed=%" PRIu64 " (%s)\n", out.ok ? "ok  " : "FAIL", out.seed,
                   out.summary.c_str());
@@ -166,5 +174,8 @@ int main(int argc, char** argv) {
   std::printf("\n%" PRIu64 "/%" PRIu64 " seeds passed, %" PRIu64
               " differential checks total\n",
               passed, count, total_checks);
+  std::printf("parse oracle frames: testbed %" PRIu64 ", star %" PRIu64 ", fabric %" PRIu64
+              "\n",
+              parse_checks.testbed, parse_checks.star, parse_checks.fabric);
   return failures == 0 ? 0 : 1;
 }

@@ -26,6 +26,7 @@
 #include "stack/tcp.h"
 #include "telemetry/json.h"
 #include "testutil/fixtures.h"
+#include "testutil/reference_frames.h"
 #include "testutil/tcp_helpers.h"
 #include "util/byte_io.h"
 
@@ -194,11 +195,10 @@ std::vector<std::uint8_t> random_frame(sim::Random& rng) {
       vh.orig_protocol = 17;
       vh.payload_len =
           static_cast<std::uint16_t>(net::VpgHeader::kTagSize + rng.uniform(48));
-      std::vector<std::uint8_t> ip_payload;
-      ByteWriter w(ip_payload);
-      vh.serialize(w);
-      for (std::size_t i = 0; i < vh.payload_len; ++i) {
-        w.u8(static_cast<std::uint8_t>(rng.uniform(256)));
+      std::vector<std::uint8_t> ip_payload(net::VpgHeader::kSize + vh.payload_len);
+      vh.write(std::span(ip_payload).first<net::VpgHeader::kSize>());
+      for (std::size_t i = net::VpgHeader::kSize; i < ip_payload.size(); ++i) {
+        ip_payload[i] = static_cast<std::uint8_t>(rng.uniform(256));
       }
       return net::build_ipv4_frame(ep, net::IpProtocol::kVpg, ip_payload);
     }
@@ -789,9 +789,12 @@ std::string scenario_summary(const Scenario& s) {
 }
 
 // ---------------------------------------------------------------------------
-// Frame taps (ring buffers for the failure dump)
+// Frame taps (ring buffers for the failure dump, and the parse oracle)
 // ---------------------------------------------------------------------------
 
+// Every frame a tap sees, fault-corrupted ones included, is parsed twice:
+// by FrameView::parse and by the reference parser, which must agree on
+// every field and on where each span sits in the frame.
 class RingTap : public link::FrameSink {
  public:
   RingTap(sim::Simulation& sim, std::string name, link::FrameSink* downstream,
@@ -810,11 +813,21 @@ class RingTap : public link::FrameSink {
         frames_.back().at < frames_[frames_.size() - 2].at) {
       monotonic_violation_ = true;
     }
+    const auto bytes = pkt.bytes();
+    const std::string diff = testutil::reference::view_difference(
+        net::FrameView::parse(bytes), testutil::reference::parse_frame(bytes), bytes);
+    ++parse_checks_;
+    if (!diff.empty() && parse_mismatch_.empty()) {
+      parse_mismatch_ = diff + " on frame " + to_hex(bytes);
+    }
     if (downstream_ != nullptr) downstream_->deliver(std::move(pkt));
   }
 
   const std::string& name() const { return name_; }
   bool monotonic_violation() const { return monotonic_violation_; }
+  std::uint64_t parse_checks() const { return parse_checks_; }
+  // The first frame on which the two parsers disagreed; empty if none did.
+  const std::string& parse_mismatch() const { return parse_mismatch_; }
   std::string tail_text() const {
     std::string out;
     for (const auto& f : frames_) {
@@ -831,6 +844,8 @@ class RingTap : public link::FrameSink {
   std::size_t cap_;
   std::deque<link::CapturedFrame> frames_;
   bool monotonic_violation_ = false;
+  std::uint64_t parse_checks_ = 0;
+  std::string parse_mismatch_;
 };
 
 // Splices a ring tap in front of a port's existing sink.
@@ -839,6 +854,26 @@ std::unique_ptr<RingTap> splice_tap(sim::Simulation& sim, link::LinkPort& port,
   auto tap = std::make_unique<RingTap>(sim, std::move(name), port.sink(), cap);
   port.connect_sink(tap.get());
   return tap;
+}
+
+// The taps' own oracles: delivery-time monotonicity and the parse oracle.
+// Returns the number of frames the parse oracle compared.
+std::uint64_t check_taps(const std::vector<std::unique_ptr<RingTap>>& taps,
+                         const std::string& port_kind, Failures fail) {
+  std::uint64_t parse_checks = 0;
+  for (const auto& tap : taps) {
+    if (tap->monotonic_violation()) {
+      fail("scheduler: deliveries at " + port_kind + " " + tap->name() +
+           " observed out of time order");
+    }
+    if (!tap->parse_mismatch().empty()) {
+      fail("parse oracle at " + port_kind + " " + tap->name() +
+           ": FrameView::parse differs from the reference parser: " +
+           tap->parse_mismatch());
+    }
+    parse_checks += tap->parse_checks();
+  }
+  return parse_checks;
 }
 
 // ---------------------------------------------------------------------------
@@ -967,7 +1002,8 @@ void setup_transfer(TransferProbe& probe, stack::Host& sender_host,
 }
 
 void run_testbed_scenario(const Scenario& s, std::vector<std::string>* failures,
-                          std::string* trace_tail, const FuzzOptions& options) {
+                          std::string* trace_tail, const FuzzOptions& options,
+                          std::uint64_t* parse_checks) {
   Failures fail{failures};
   sim::Simulation sim(s.seed);
   core::Testbed bed(sim, s.testbed);
@@ -1018,13 +1054,8 @@ void run_testbed_scenario(const Scenario& s, std::vector<std::string>* failures,
     }
     check_nic(*hosts[i], names[i], fail);
   }
-  // Monotonicity witness from the taps.
-  for (const auto& tap : taps) {
-    if (tap->monotonic_violation()) {
-      fail("scheduler: deliveries at port " + tap->name() +
-           " observed out of time order");
-    }
-  }
+  // Monotonicity witness and parse oracle from the taps.
+  *parse_checks = check_taps(taps, "port", fail);
   // TCP safety. Flood traffic shares the target link with the transfers, so
   // congestion loss is expected whenever the flood ran.
   const bool contention = s.flood;
@@ -1039,7 +1070,8 @@ void run_testbed_scenario(const Scenario& s, std::vector<std::string>* failures,
 }
 
 void run_star_scenario(const Scenario& s, std::vector<std::string>* failures,
-                       std::string* trace_tail, const FuzzOptions& options) {
+                       std::string* trace_tail, const FuzzOptions& options,
+                       std::uint64_t* parse_checks) {
   Failures fail{failures};
   sim::Simulation sim(s.seed);
   testutil::StarNetwork net(sim, s.star_hosts);
@@ -1091,12 +1123,7 @@ void run_star_scenario(const Scenario& s, std::vector<std::string>* failures,
            std::to_string(n.tx_dropped));
     }
   }
-  for (const auto& tap : taps) {
-    if (tap->monotonic_violation()) {
-      fail("scheduler: deliveries at port " + tap->name() +
-           " observed out of time order");
-    }
-  }
+  *parse_checks = check_taps(taps, "port", fail);
   // Several transfers can share a link, so congestion loss is possible even
   // without faults whenever there is more than one transfer.
   const bool contention = s.transfers.size() > 1;
@@ -1211,7 +1238,8 @@ std::unique_ptr<core::Fabric> build_fabric(sim::Simulation& sim,
 
 void run_fabric_scenario(const FabricScenario& s, std::uint64_t seed,
                          std::vector<std::string>* failures,
-                         std::string* trace_tail, const FuzzOptions& options) {
+                         std::string* trace_tail, const FuzzOptions& options,
+                         std::uint64_t* parse_checks) {
   Failures fail{failures};
   sim::Simulation sim(seed);
   auto fabric = build_fabric(sim, s);
@@ -1253,12 +1281,7 @@ void run_fabric_scenario(const FabricScenario& s, std::uint64_t seed,
     }
     check_nic(fabric->host(i), "fabric-h" + std::to_string(i), fail);
   }
-  for (const auto& tap : taps) {
-    if (tap->monotonic_violation()) {
-      fail("scheduler: deliveries at fabric port " + tap->name() +
-           " observed out of time order");
-    }
-  }
+  *parse_checks = check_taps(taps, "fabric port", fail);
   const bool contention = s.transfers.size() > 1;
   for (const auto& probe : probes) {
     check_transfer(*probe, /*faults=*/false, contention, fail);
@@ -1308,16 +1331,19 @@ FuzzOutcome run_seed(std::uint64_t seed, const FuzzOptions& options) {
     out.scenario_json = scenario_to_json(scenario);
     out.summary = scenario_summary(scenario);
     if (scenario.star) {
-      run_star_scenario(scenario, &out.failures, &out.trace_tail, options);
+      run_star_scenario(scenario, &out.failures, &out.trace_tail, options,
+                        &out.parse_checks.star);
     } else {
-      run_testbed_scenario(scenario, &out.failures, &out.trace_tail, options);
+      run_testbed_scenario(scenario, &out.failures, &out.trace_tail, options,
+                           &out.parse_checks.testbed);
     }
 
     // Every seed additionally exercises a multi-switch fabric (its own salted
     // stream, so the legacy scenario above is untouched).
     const FabricScenario fabric = generate_fabric_scenario(seed);
     out.summary += fabric_summary(fabric);
-    run_fabric_scenario(fabric, seed, &out.failures, &out.trace_tail, options);
+    run_fabric_scenario(fabric, seed, &out.failures, &out.trace_tail, options,
+                        &out.parse_checks.fabric);
   }
 
   if (policy) {

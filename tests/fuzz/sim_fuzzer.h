@@ -24,7 +24,11 @@
 //    matched rule, and traversal counters) on >= 10k random packets and
 //    tuples, including VPG-encapsulated frames; then one card Matcher per
 //    compiled backend, kept across rule-set pushes, must return the same
-//    full verdict, so its flow cache never surfaces a previous push's.
+//    full verdict, so its flow cache never surfaces a previous push's;
+//  * parse oracle — every frame a host's tap sees, fault-corrupted frames
+//    included, parses the same under FrameView::parse and the reference
+//    parser (tests/testutil/reference_frames.h): every field, the presence
+//    of each layer, and the offset and length of the L3 and L4 spans.
 //
 // Failures reproduce deterministically: re-running the printed seed (or a
 // scenario file written by a failing run) rebuilds the identical case.
@@ -65,6 +69,12 @@ struct FuzzOutcome {
   std::string trace_tail;
   // Packets + tuples compared against the reference matcher.
   std::uint64_t differential_checks = 0;
+  // Frames the taps compared under both parsers, per scenario family.
+  struct ParseChecks {
+    std::uint64_t testbed = 0;
+    std::uint64_t star = 0;
+    std::uint64_t fabric = 0;
+  } parse_checks;
   // One-line description of the generated scenario.
   std::string summary;
 };

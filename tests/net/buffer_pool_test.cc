@@ -11,6 +11,7 @@
 #include "net/frame_view.h"
 #include "net/packet.h"
 #include "net/packet_builder.h"
+#include "testutil/reference_frames.h"
 
 namespace barb::net {
 namespace {
@@ -205,52 +206,31 @@ TEST(BufferPool, ParseIsPerformedOnceAndSharedAcrossHandles) {
 
 // --- ParsedHeaders must agree exactly with a fresh FrameView::parse ------
 
+// The cached parse must match a fresh FrameView::parse of the same bytes,
+// and that one the reference parser, on every field, every optional layer,
+// the L3/L4 span offsets (each relative to the buffer it was parsed from)
+// and the five-tuple.
 void expect_equivalent(const std::vector<std::uint8_t>& frame) {
   SCOPED_TRACE("frame size " + std::to_string(frame.size()));
   const auto fresh = FrameView::parse(frame);
+  EXPECT_EQ(testutil::reference::view_difference(
+                fresh, testutil::reference::parse_frame(frame), frame),
+            "");
+
   Packet pkt{frame, sim::TimePoint::origin(), 0};  // adopts a copy
   const FrameView* cached = pkt.view();
-
   ASSERT_EQ(fresh.has_value(), cached != nullptr);
   if (!fresh) {
     EXPECT_FALSE(pkt.five_tuple().has_value());
     return;
   }
-
-  EXPECT_EQ(fresh->eth.src, cached->eth.src);
-  EXPECT_EQ(fresh->eth.dst, cached->eth.dst);
-  EXPECT_EQ(fresh->eth.ethertype, cached->eth.ethertype);
-  ASSERT_EQ(fresh->ip.has_value(), cached->ip.has_value());
-  if (fresh->ip) {
-    EXPECT_EQ(fresh->ip->src, cached->ip->src);
-    EXPECT_EQ(fresh->ip->dst, cached->ip->dst);
-    EXPECT_EQ(fresh->ip->protocol, cached->ip->protocol);
-    EXPECT_EQ(fresh->ip->total_length, cached->ip->total_length);
-  }
-  EXPECT_EQ(fresh->tcp.has_value(), cached->tcp.has_value());
-  EXPECT_EQ(fresh->udp.has_value(), cached->udp.has_value());
-  EXPECT_EQ(fresh->icmp.has_value(), cached->icmp.has_value());
-  EXPECT_EQ(fresh->vpg.has_value(), cached->vpg.has_value());
-  if (fresh->udp) {
-    EXPECT_EQ(fresh->udp->src_port, cached->udp->src_port);
-    EXPECT_EQ(fresh->udp->dst_port, cached->udp->dst_port);
-  }
-  if (fresh->tcp) {
-    EXPECT_EQ(fresh->tcp->src_port, cached->tcp->src_port);
-    EXPECT_EQ(fresh->tcp->dst_port, cached->tcp->dst_port);
-    EXPECT_EQ(fresh->tcp->seq, cached->tcp->seq);
-    EXPECT_EQ(fresh->tcp->flags, cached->tcp->flags);
-  }
-  // Payload spans: same extent, and the cached span points into the
-  // packet's own buffer.
-  EXPECT_EQ(fresh->l3_payload.size(), cached->l3_payload.size());
-  EXPECT_EQ(fresh->l4_payload.size(), cached->l4_payload.size());
+  EXPECT_EQ(testutil::reference::view_difference(*cached, pkt.bytes(), fresh, frame), "");
+  // The cached spans point into the packet's own buffer.
   if (!cached->l4_payload.empty()) {
     EXPECT_GE(cached->l4_payload.data(), pkt.bytes().data());
     EXPECT_LE(cached->l4_payload.data() + cached->l4_payload.size(),
               pkt.bytes().data() + pkt.size());
   }
-
   EXPECT_EQ(fresh->five_tuple(), pkt.five_tuple());
 }
 
@@ -272,9 +252,20 @@ TEST(ParsedHeaders, MatchesFreshParseOnRealFrames) {
   tcp.flags = TcpFlags::kSyn;
   expect_equivalent(build_tcp_frame(ep, tcp, {}, 3));
   expect_equivalent(build_tcp_frame(ep, tcp, payload, 4));
+  tcp.mss = 1460;
+  expect_equivalent(build_tcp_frame(ep, tcp, payload, 6));
 
   expect_equivalent(build_icmp_frame(
       ep, static_cast<std::uint8_t>(IcmpType::kEchoRequest), 0, 0, payload, 5));
+
+  VpgHeader vpg;
+  vpg.vpg_id = 3;
+  vpg.seq = 9;
+  vpg.orig_protocol = 17;
+  vpg.payload_len = 20;
+  std::vector<std::uint8_t> sealed(VpgHeader::kSize + vpg.payload_len, 0x77);
+  vpg.write(std::span(sealed).first<VpgHeader::kSize>());
+  expect_equivalent(build_ipv4_frame(ep, IpProtocol::kVpg, sealed, 7));
 }
 
 TEST(ParsedHeaders, MatchesFreshParseOnTruncatedAndGarbageFrames) {

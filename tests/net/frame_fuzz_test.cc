@@ -76,14 +76,12 @@ TEST(FrameFuzz, VpgLengthFieldCannotOverrun) {
   ep.dst_ip = Ipv4Address(10, 0, 0, 2);
   ep.src_mac = MacAddress::from_host_id(1);
   ep.dst_mac = MacAddress::from_host_id(2);
-  std::vector<std::uint8_t> payload;
-  ByteWriter w(payload);
   VpgHeader vh;
   vh.vpg_id = 1;
   vh.seq = 1;
   vh.payload_len = 60000;  // lies
-  vh.serialize(w);
-  w.zeros(8);
+  std::vector<std::uint8_t> payload(VpgHeader::kSize + 8);
+  vh.write(std::span(payload).first<VpgHeader::kSize>());
   const auto frame = build_ipv4_frame(ep, IpProtocol::kVpg, payload);
   auto view = FrameView::parse(frame);
   ASSERT_TRUE(view.has_value());

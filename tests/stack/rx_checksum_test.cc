@@ -6,6 +6,7 @@
 #include <span>
 #include <vector>
 
+#include "link/tracer.h"
 #include "net/packet.h"
 #include "net/packet_builder.h"
 #include "net/tcp_header.h"
@@ -116,6 +117,45 @@ TEST_F(RxChecksum, UdpChecksumZeroMeansNotComputedAndIsAccepted) {
 
   EXPECT_EQ(delivered, 1u);  // accepted despite the mangling
   EXPECT_EQ(net.b->nic().stats().rx_checksum_drops, 0u);
+}
+
+TEST_F(RxChecksum, UdpChecksumComputingToZeroIsSentAsAllOnes) {
+  // This datagram's checksum computes to zero, which the field cannot carry
+  // (zero means "not computed"), so RFC 768 sends it as 0xffff. It must
+  // still protect the payload.
+  const std::vector<std::uint8_t> payload = {0x11, 0x11, 0x11, 0x11,
+                                             0x11, 0x11, 0xac, 0xe0};
+  const auto frame = net::build_udp_frame(a_to_b(), 1000, 2000, payload);
+  EXPECT_EQ(frame[kEthIp + 6], 0xff);
+  EXPECT_EQ(frame[kEthIp + 7], 0xff);
+
+  std::size_t delivered = 0;
+  UdpSocket* sock = net.b->udp_open(2000);
+  sock->set_receiver([&](net::Ipv4Address, std::uint16_t,
+                         std::span<const std::uint8_t>) { ++delivered; });
+  inject(frame);
+  sim.run();
+  EXPECT_EQ(delivered, 1u);
+  EXPECT_EQ(net.b->nic().stats().rx_checksum_drops, 0u);
+
+  auto flipped = frame;
+  flipped[kUdpPayloadOff] ^= 0x01;
+  inject(std::move(flipped));
+  sim.run();
+  EXPECT_EQ(delivered, 1u);
+  EXPECT_EQ(net.b->nic().stats().rx_checksum_drops, 1u);
+
+  // A socket send goes through the same writer: the wire carries 0xffff.
+  link::FrameTap tap(net.link.b().sink());
+  net.link.b().connect_sink(&tap);
+  UdpSocket* sender = net.a->udp_open(1000);
+  ASSERT_TRUE(sender->send_to(net.b->ip(), 2000, payload));
+  sim.run();
+  ASSERT_EQ(tap.frames().size(), 1u);
+  EXPECT_EQ(tap.frames()[0].data[kEthIp + 6], 0xff);
+  EXPECT_EQ(tap.frames()[0].data[kEthIp + 7], 0xff);
+  EXPECT_EQ(delivered, 2u);
+  EXPECT_EQ(net.b->nic().stats().rx_checksum_drops, 1u);
 }
 
 TEST_F(RxChecksum, IntactTrafficNeverTouchesTheCounter) {
