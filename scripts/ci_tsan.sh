@@ -6,6 +6,10 @@
 # (each card's Matcher owns its compiled structure and flow tables, but
 # sweep tasks build them on pool threads — TSan proves they really are
 # shared-nothing).
+# SHA-256 picks its compression body (SHA-NI or portable) once per process,
+# and pool threads hash with it: the SHA-256, HMAC, policy-parser and
+# policy fan-out suites run here, and the policy-convergence bench runs at
+# --jobs 4 with a PolicyServer and its agents on every pool thread.
 # The fleet bench then runs at --jobs 4: each sweep task builds a full
 # multi-switch fabric (TopologyBuilder, shared AddressDirectory, bounded
 # FIBs) and drives its simulation on a pool thread, proving the fleet-scale
@@ -23,10 +27,12 @@ cmake -B "$BUILD_DIR" -S . -DTSAN=ON -DBARB_WERROR=ON
 cmake --build "$BUILD_DIR" -j "$(nproc)" \
   --target core_sweep_runner_test net_buffer_pool_stress_test \
   firewall_classifier_test firewall_flow_cache_test firewall_matcher_test \
-  fleet_goodput fuzz_main
+  crypto_sha256_test crypto_hmac_test firewall_policy_test firewall_policy_fanout_test \
+  fleet_goodput fleet_policy_convergence fuzz_main
 ctest --test-dir "$BUILD_DIR" --output-on-failure \
-  -R 'SweepRunner|DerivePointSeed|ResolveJobs|JobsFromCli|BufferPoolThreading|CompiledClassifier|FlowCache|Matcher'
+  -R 'SweepRunner|DerivePointSeed|ResolveJobs|JobsFromCli|BufferPoolThreading|CompiledClassifier|FlowCache|Matcher|Sha256|HmacSha256|ConstantTimeEqual|DeriveKey|PolicyParser|PolicyRoundTrip|PolicyFanout'
 BARB_BENCH_FAST=1 "$BUILD_DIR"/bench/fleet_goodput --jobs 4
+BARB_BENCH_FAST=1 "$BUILD_DIR"/bench/fleet_policy_convergence --jobs 4
 
 # Policy-family seeds at --jobs 4: corpus generation, the pairwise analyzer,
 # and the per-backend Matcher oracle all run on pool threads — TSan proves

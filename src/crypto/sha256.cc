@@ -2,6 +2,12 @@
 
 #include <cstring>
 
+#if defined(__x86_64__) && defined(__GNUC__)
+#include <cpuid.h>
+#include <immintrin.h>
+#define BARB_SHA256_HAVE_SHA_NI 1
+#endif
+
 namespace barb::crypto {
 
 namespace {
@@ -21,16 +27,7 @@ constexpr std::uint32_t kK[64] = {
 
 inline std::uint32_t rotr(std::uint32_t x, int n) { return (x >> n) | (x << (32 - n)); }
 
-}  // namespace
-
-void Sha256::reset() {
-  state_ = {0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a,
-            0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19};
-  buffer_len_ = 0;
-  total_bytes_ = 0;
-}
-
-void Sha256::process_block(const std::uint8_t* block) {
+void process_block(std::uint32_t* state, const std::uint8_t* block) {
   std::uint32_t w[64];
   for (int i = 0; i < 16; ++i) {
     w[i] = static_cast<std::uint32_t>(block[4 * i]) << 24 |
@@ -44,8 +41,8 @@ void Sha256::process_block(const std::uint8_t* block) {
     w[i] = w[i - 16] + s0 + w[i - 7] + s1;
   }
 
-  std::uint32_t a = state_[0], b = state_[1], c = state_[2], d = state_[3];
-  std::uint32_t e = state_[4], f = state_[5], g = state_[6], h = state_[7];
+  std::uint32_t a = state[0], b = state[1], c = state[2], d = state[3];
+  std::uint32_t e = state[4], f = state[5], g = state[6], h = state[7];
   for (int i = 0; i < 64; ++i) {
     const std::uint32_t s1 = rotr(e, 6) ^ rotr(e, 11) ^ rotr(e, 25);
     const std::uint32_t ch = (e & f) ^ (~e & g);
@@ -62,14 +59,106 @@ void Sha256::process_block(const std::uint8_t* block) {
     b = a;
     a = temp1 + temp2;
   }
-  state_[0] += a;
-  state_[1] += b;
-  state_[2] += c;
-  state_[3] += d;
-  state_[4] += e;
-  state_[5] += f;
-  state_[6] += g;
-  state_[7] += h;
+  state[0] += a;
+  state[1] += b;
+  state[2] += c;
+  state[3] += d;
+  state[4] += e;
+  state[5] += f;
+  state[6] += g;
+  state[7] += h;
+}
+
+void compress_portable(std::uint32_t* state, const std::uint8_t* data,
+                       std::size_t blocks) {
+  for (; blocks > 0; --blocks, data += Sha256::kBlockSize) process_block(state, data);
+}
+
+#ifdef BARB_SHA256_HAVE_SHA_NI
+
+// The Intel SHA extensions keep the state as two vectors, ABEF and CDGH,
+// and run two rounds per SHA256RNDS2 on the low two words of a
+// W[t] + K[t] vector. Round group g (rounds 4g..4g+3) uses message words
+// W[4g..4g+3]; from g = 4 on, SHA256MSG1/MSG2 extend the schedule from the
+// four groups before, which `w` holds as a ring indexed by g mod 4.
+__attribute__((target("sha,sse4.1"))) void compress_sha_ni(std::uint32_t* state,
+                                                           const std::uint8_t* data,
+                                                           std::size_t blocks) {
+  const __m128i byte_swap = _mm_set_epi64x(0x0c0d0e0f08090a0bULL, 0x0405060700010203ULL);
+  const __m128i dcba = _mm_loadu_si128(reinterpret_cast<const __m128i*>(state));
+  const __m128i hgfe = _mm_loadu_si128(reinterpret_cast<const __m128i*>(state + 4));
+  const __m128i cdab = _mm_shuffle_epi32(dcba, 0xb1);
+  const __m128i efgh = _mm_shuffle_epi32(hgfe, 0x1b);
+  __m128i abef = _mm_alignr_epi8(cdab, efgh, 8);
+  __m128i cdgh = _mm_blend_epi16(efgh, cdab, 0xf0);
+
+  for (; blocks > 0; --blocks, data += Sha256::kBlockSize) {
+    const __m128i abef_in = abef;
+    const __m128i cdgh_in = cdgh;
+    __m128i w[4];
+#pragma GCC unroll 16
+    for (int g = 0; g < 16; ++g) {
+      __m128i& cur = w[g % 4];
+      if (g < 4) {
+        cur = _mm_shuffle_epi8(
+            _mm_loadu_si128(reinterpret_cast<const __m128i*>(data + 16 * g)), byte_swap);
+      } else {
+        const __m128i& prev1 = w[(g + 3) % 4];
+        const __m128i& prev2 = w[(g + 2) % 4];
+        const __m128i& prev3 = w[(g + 1) % 4];
+        cur = _mm_sha256msg1_epu32(cur, prev3);
+        cur = _mm_add_epi32(cur, _mm_alignr_epi8(prev1, prev2, 4));
+        cur = _mm_sha256msg2_epu32(cur, prev1);
+      }
+      const __m128i k = _mm_loadu_si128(reinterpret_cast<const __m128i*>(kK + 4 * g));
+      const __m128i wk = _mm_add_epi32(cur, k);
+      cdgh = _mm_sha256rnds2_epu32(cdgh, abef, wk);
+      abef = _mm_sha256rnds2_epu32(abef, cdgh, _mm_shuffle_epi32(wk, 0x0e));
+    }
+    abef = _mm_add_epi32(abef, abef_in);
+    cdgh = _mm_add_epi32(cdgh, cdgh_in);
+  }
+
+  const __m128i feba = _mm_shuffle_epi32(abef, 0x1b);
+  const __m128i dchg = _mm_shuffle_epi32(cdgh, 0xb1);
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(state), _mm_blend_epi16(feba, dchg, 0xf0));
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(state + 4), _mm_alignr_epi8(dchg, feba, 8));
+}
+
+// CPUID leaf 7 EBX bit 29 is SHA; leaf 1 ECX bit 19 is SSE4.1 (which
+// implies the SSSE3 byte shuffle).
+bool cpu_has_sha_ni() {
+  unsigned a = 0, b = 0, c = 0, d = 0;
+  if (__get_cpuid(1, &a, &b, &c, &d) == 0 || (c & bit_SSE4_1) == 0) return false;
+  if (__get_cpuid_count(7, 0, &a, &b, &c, &d) == 0) return false;
+  return (b & bit_SHA) != 0;
+}
+
+#endif
+
+}  // namespace
+
+Sha256::Compress Sha256::portable() { return compress_portable; }
+
+Sha256::Compress Sha256::sha_ni() {
+#ifdef BARB_SHA256_HAVE_SHA_NI
+  static const bool available = cpu_has_sha_ni();
+  return available ? compress_sha_ni : nullptr;
+#else
+  return nullptr;
+#endif
+}
+
+Sha256::Compress Sha256::selected() {
+  static const Compress chosen = sha_ni() != nullptr ? sha_ni() : portable();
+  return chosen;
+}
+
+void Sha256::reset() {
+  state_ = {0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a,
+            0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19};
+  buffer_len_ = 0;
+  total_bytes_ = 0;
 }
 
 void Sha256::update(std::span<const std::uint8_t> data) {
@@ -81,13 +170,14 @@ void Sha256::update(std::span<const std::uint8_t> data) {
     buffer_len_ += take;
     offset = take;
     if (buffer_len_ == kBlockSize) {
-      process_block(buffer_.data());
+      compress_(state_.data(), buffer_.data(), 1);
       buffer_len_ = 0;
     }
   }
-  while (offset + kBlockSize <= data.size()) {
-    process_block(data.data() + offset);
-    offset += kBlockSize;
+  const std::size_t blocks = (data.size() - offset) / kBlockSize;
+  if (blocks > 0) {
+    compress_(state_.data(), data.data() + offset, blocks);
+    offset += blocks * kBlockSize;
   }
   if (offset < data.size()) {
     buffer_len_ = data.size() - offset;

@@ -1,220 +1,303 @@
 #include "firewall/policy.h"
 
-#include <charconv>
+#include <cstring>
 #include <vector>
 
 namespace barb::firewall {
 
 namespace {
 
-std::vector<std::string_view> tokenize(std::string_view line) {
-  std::vector<std::string_view> tokens;
-  std::size_t pos = 0;
-  while (pos < line.size()) {
-    while (pos < line.size() && (line[pos] == ' ' || line[pos] == '\t')) ++pos;
-    std::size_t start = pos;
-    while (pos < line.size() && line[pos] != ' ' && line[pos] != '\t') ++pos;
-    if (pos > start) tokens.push_back(line.substr(start, pos - start));
-  }
-  return tokens;
-}
+constexpr bool is_blank(char c) { return c == ' ' || c == '\t'; }
+// A token is a run of bytes other than these; '#' starts a comment that
+// runs to the end of the line.
+constexpr bool ends_token(char c) { return is_blank(c) || c == '\n' || c == '#'; }
 
-bool parse_u16(std::string_view s, std::uint16_t& out) {
-  unsigned value = 0;
-  auto [ptr, ec] = std::from_chars(s.data(), s.data() + s.size(), value);
-  if (ec != std::errc() || ptr != s.data() + s.size() || value > 65535) return false;
-  out = static_cast<std::uint16_t>(value);
-  return true;
-}
-
-bool parse_u32(std::string_view s, std::uint32_t& out) {
+// Reads decimal digits from `p`, as std::from_chars does (no sign, leading
+// zeros allowed). Returns the end of the digits, or nullptr when there are
+// none or their value exceeds `max`.
+const char* read_decimal(const char* p, const char* end, std::uint32_t max,
+                         std::uint32_t& out) {
+  const char* const start = p;
   std::uint64_t value = 0;
-  auto [ptr, ec] = std::from_chars(s.data(), s.data() + s.size(), value);
-  if (ec != std::errc() || ptr != s.data() + s.size() || value > 0xffffffffULL) {
-    return false;
+  for (; p != end; ++p) {
+    const unsigned digit = static_cast<unsigned char>(*p) - static_cast<unsigned>('0');
+    if (digit > 9) break;
+    value = value * 10 + digit;
+    if (value > max) return nullptr;
   }
+  if (p == start) return nullptr;
   out = static_cast<std::uint32_t>(value);
-  return true;
+  return p;
 }
 
-// "any" | ip | ip/prefix, optionally followed by "port lo[-hi]" tokens.
-// Consumes tokens starting at `i`.
-bool parse_endpoint(const std::vector<std::string_view>& tokens, std::size_t& i,
-                    net::Ipv4Address& net_out, int& prefix_out, PortRange& ports_out,
-                    std::string& error) {
-  if (i >= tokens.size()) {
+// All of `s` is a decimal number no greater than `max`.
+bool parse_decimal(std::string_view s, std::uint32_t max, std::uint32_t& out) {
+  const char* const end = s.data() + s.size();
+  return read_decimal(s.data(), end, max, out) == end;
+}
+
+// Reads one line of policy text in a single pass. The cursor sits on the
+// next token (or the end of the line); each take consumes a whole token
+// and the blanks after it, or nothing when the token does not fit.
+class LineCursor {
+ public:
+  LineCursor(const char* begin, const char* end) : pos_(begin), end_(end) {
+    skip_blanks();
+  }
+
+  bool at_end() const { return pos_ == end_ || *pos_ == '\n' || *pos_ == '#'; }
+
+  // The next token, whatever it is (empty at the end of the line).
+  std::string_view take() {
+    const char* start = pos_;
+    while (pos_ != end_ && !ends_token(*pos_)) ++pos_;
+    const std::string_view token(start, static_cast<std::size_t>(pos_ - start));
+    skip_blanks();
+    return token;
+  }
+
+  // The next token if it is `word`.
+  bool take(std::string_view word) {
+    const std::size_t n = word.size();
+    const bool fits = static_cast<std::size_t>(end_ - pos_) >= n;
+    return fits && std::memcmp(pos_, word.data(), n) == 0 && finish_token(pos_ + n);
+  }
+
+  // The next token if it is a decimal number no greater than `max`.
+  bool take_decimal(std::uint32_t max, std::uint32_t& out) {
+    std::uint32_t value = 0;
+    const char* p = read_decimal(pos_, end_, max, value);
+    if (p == nullptr || !finish_token(p)) return false;
+    out = value;
+    return true;
+  }
+
+  // The next token if it is "a.b.c.d" or "a.b.c.d/prefix" (prefix <= 32).
+  bool take_address(net::Ipv4Address& address, int& prefix_out) {
+    std::size_t length = 0;
+    const auto ip = net::Ipv4Address::parse_front(
+        std::string_view(pos_, static_cast<std::size_t>(end_ - pos_)), length);
+    if (!ip) return false;
+    const char* p = pos_ + length;
+    std::uint32_t prefix = 32;
+    if (p != end_ && *p == '/') p = read_decimal(p + 1, end_, 32, prefix);
+    if (p == nullptr || !finish_token(p)) return false;
+    address = *ip;
+    prefix_out = static_cast<int>(prefix);
+    return true;
+  }
+
+  // The next token if it is a port "p" or a range "lo-hi", with
+  // 1 <= lo <= hi <= 65535.
+  bool take_ports(PortRange& out) {
+    std::uint32_t lo = 0, hi = 0;
+    const char* p = read_decimal(pos_, end_, 65535, lo);
+    if (p == nullptr) return false;
+    hi = lo;
+    if (p != end_ && *p == '-') p = read_decimal(p + 1, end_, 65535, hi);
+    if (p == nullptr || lo == 0 || lo > hi || !finish_token(p)) return false;
+    out = PortRange{static_cast<std::uint16_t>(lo), static_cast<std::uint16_t>(hi)};
+    return true;
+  }
+
+  // Start of the next line, or nullptr after the last one. Call once the
+  // line has no more tokens.
+  const char* next_line() const {
+    if (pos_ == end_) return nullptr;
+    if (*pos_ == '\n') return pos_ + 1;
+    const void* nl = std::memchr(pos_, '\n', static_cast<std::size_t>(end_ - pos_));
+    return nl == nullptr ? nullptr : static_cast<const char*>(nl) + 1;
+  }
+
+ private:
+  // Consumes up to `token_end` if a token ends there.
+  bool finish_token(const char* token_end) {
+    if (token_end != end_ && !ends_token(*token_end)) return false;
+    pos_ = token_end;
+    skip_blanks();
+    return true;
+  }
+
+  void skip_blanks() {
+    while (pos_ != end_ && is_blank(*pos_)) ++pos_;
+  }
+
+  const char* pos_;
+  const char* end_;
+};
+
+// Why an address token take_address() refused is wrong.
+std::string address_error(std::string_view addr) {
+  const bool ip_ok = net::Ipv4Address::parse(addr.substr(0, addr.find('/'))).has_value();
+  return (ip_ok ? "bad prefix in '" : "bad address '") + std::string(addr) + "'";
+}
+
+// Why a port spec take_ports() refused is wrong.
+std::string port_error(std::string_view spec) {
+  const auto dash = spec.find('-');
+  std::uint32_t lo = 0, hi = 0;
+  if (dash == std::string_view::npos) {
+    if (!parse_decimal(spec, 65535, lo)) return "bad port '" + std::string(spec) + "'";
+  } else if (!parse_decimal(spec.substr(0, dash), 65535, lo) ||
+             !parse_decimal(spec.substr(dash + 1), 65535, hi) || lo > hi) {
+    return "bad port range '" + std::string(spec) + "'";
+  }
+  return "port 0 is not allowed in a rule";
+}
+
+// "any" | ip | ip/prefix, optionally followed by "port lo[-hi]".
+bool parse_endpoint(LineCursor& cur, net::Ipv4Address& net_out, int& prefix_out,
+                    PortRange& ports_out, std::string& error) {
+  if (cur.at_end()) {
     error = "expected address";
     return false;
   }
-  const std::string_view addr = tokens[i++];
-  if (addr == "any") {
+  if (cur.take("any")) {
     net_out = net::Ipv4Address::any();
     prefix_out = 0;
-  } else {
-    const auto slash = addr.find('/');
-    std::string_view ip_part = addr.substr(0, slash);
-    auto ip = net::Ipv4Address::parse(ip_part);
-    if (!ip) {
-      error = "bad address '" + std::string(addr) + "'";
-      return false;
-    }
-    net_out = *ip;
-    if (slash == std::string_view::npos) {
-      prefix_out = 32;
-    } else {
-      std::uint16_t prefix = 0;
-      if (!parse_u16(addr.substr(slash + 1), prefix) || prefix > 32) {
-        error = "bad prefix in '" + std::string(addr) + "'";
-        return false;
-      }
-      prefix_out = prefix;
-    }
+  } else if (!cur.take_address(net_out, prefix_out)) {
+    error = address_error(cur.take());
+    return false;
   }
   ports_out = PortRange{};
-  if (i < tokens.size() && tokens[i] == "port") {
-    ++i;
-    if (i >= tokens.size()) {
-      error = "expected port number";
-      return false;
-    }
-    const std::string_view spec = tokens[i++];
-    const auto dash = spec.find('-');
-    std::uint16_t lo = 0, hi = 0;
-    if (dash == std::string_view::npos) {
-      if (!parse_u16(spec, lo)) {
-        error = "bad port '" + std::string(spec) + "'";
-        return false;
-      }
-      hi = lo;
-    } else {
-      if (!parse_u16(spec.substr(0, dash), lo) || !parse_u16(spec.substr(dash + 1), hi) ||
-          lo > hi) {
-        error = "bad port range '" + std::string(spec) + "'";
-        return false;
-      }
-    }
-    if (lo == 0) {
-      error = "port 0 is not allowed in a rule";
-      return false;
-    }
-    ports_out = PortRange{lo, hi};
+  if (!cur.take("port")) return true;
+  if (cur.at_end()) {
+    error = "expected port number";
+    return false;
+  }
+  if (!cur.take_ports(ports_out)) {
+    error = port_error(cur.take());
+    return false;
   }
   return true;
 }
 
-bool parse_protocol(std::string_view token, std::uint8_t& out) {
-  if (token == "any") {
-    out = 0;
-  } else if (token == "tcp") {
-    out = 6;
-  } else if (token == "udp") {
-    out = 17;
-  } else if (token == "icmp") {
-    out = 1;
-  } else {
+// The rest of an allow/deny line: "<proto> from <endpoint> to <endpoint>
+// [oneway]".
+bool parse_filter_rule(LineCursor& cur, Rule& rule, std::string& error) {
+  if (cur.at_end()) {
+    error = "expected protocol";
     return false;
   }
+  if (cur.take("tcp")) {
+    rule.protocol = 6;
+  } else if (cur.take("udp")) {
+    rule.protocol = 17;
+  } else if (cur.take("any")) {
+    rule.protocol = 0;
+  } else if (cur.take("icmp")) {
+    rule.protocol = 1;
+  } else {
+    error = "unknown protocol '" + std::string(cur.take()) + "'";
+    return false;
+  }
+  if (!cur.take("from")) {
+    error = "expected 'from'";
+    return false;
+  }
+  if (!parse_endpoint(cur, rule.src_net, rule.src_prefix, rule.src_ports, error)) {
+    return false;
+  }
+  if (!cur.take("to")) {
+    error = "expected 'to'";
+    return false;
+  }
+  if (!parse_endpoint(cur, rule.dst_net, rule.dst_prefix, rule.dst_ports, error)) {
+    return false;
+  }
+  if (cur.take("oneway")) rule.bidirectional = false;
   return true;
+}
+
+// The rest of a vpg line: "<id> between <endpoint> and <endpoint>".
+bool parse_vpg_rule(LineCursor& cur, Rule& rule, std::string& error) {
+  rule.action = RuleAction::kVpg;
+  if (!cur.take_decimal(0xffffffffU, rule.vpg_id) || rule.vpg_id == 0) {
+    error = "expected nonzero vpg id";
+    return false;
+  }
+  if (!cur.take("between")) {
+    error = "expected 'between'";
+    return false;
+  }
+  if (!parse_endpoint(cur, rule.src_net, rule.src_prefix, rule.src_ports, error)) {
+    return false;
+  }
+  if (!cur.take("and")) {
+    error = "expected 'and'";
+    return false;
+  }
+  return parse_endpoint(cur, rule.dst_net, rule.dst_prefix, rule.dst_ports, error);
+}
+
+// "default allow|deny".
+bool parse_default(LineCursor& cur, RuleAction& action, std::string& error) {
+  const std::string_view word = cur.take();
+  if (word.empty() || !cur.at_end()) {
+    error = "usage: default allow|deny";
+    return false;
+  }
+  if (word != "allow" && word != "deny") {
+    error = "default action must be allow or deny";
+    return false;
+  }
+  action = word == "allow" ? RuleAction::kAllow : RuleAction::kDeny;
+  return true;
+}
+
+std::size_t count_lines(std::string_view text) {
+  std::size_t lines = 1;
+  const char* const end = text.data() + text.size();
+  for (const char* p = text.data(); p != end; ++lines) {
+    p = static_cast<const char*>(std::memchr(p, '\n', static_cast<std::size_t>(end - p)));
+    if (p == nullptr) break;
+    ++p;
+  }
+  return lines;
 }
 
 }  // namespace
 
 PolicyParseResult parse_policy(std::string_view text) {
-  RuleSet rule_set;
   PolicyParseResult result;
+  // A rule takes a line of its own.
+  std::vector<Rule> rules;
+  rules.reserve(count_lines(text));
+  RuleAction default_action = RuleAction::kDeny;
 
+  const char* const end = text.data() + text.size();
   int line_no = 0;
-  std::size_t pos = 0;
-  while (pos <= text.size()) {
-    const auto nl = text.find('\n', pos);
-    std::string_view line =
-        text.substr(pos, nl == std::string_view::npos ? text.size() - pos : nl - pos);
-    pos = nl == std::string_view::npos ? text.size() + 1 : nl + 1;
+  std::string error;
+  for (const char* line = text.data(); line != nullptr;) {
     ++line_no;
-
-    // Strip comments.
-    const auto hash = line.find('#');
-    if (hash != std::string_view::npos) line = line.substr(0, hash);
-    const auto tokens = tokenize(line);
-    if (tokens.empty()) continue;
-
-    auto fail = [&](std::string message) {
-      result.error = PolicyParseError{line_no, std::move(message)};
-      return result;
-    };
-
-    if (tokens[0] == "default") {
-      if (tokens.size() != 2) return fail("usage: default allow|deny");
-      if (tokens[1] == "allow") {
-        rule_set.set_default_action(RuleAction::kAllow);
-      } else if (tokens[1] == "deny") {
-        rule_set.set_default_action(RuleAction::kDeny);
+    LineCursor cur(line, end);
+    if (!cur.at_end()) {
+      bool ok = false;
+      const bool allow = cur.take("allow");
+      if (allow || cur.take("deny")) {
+        Rule& rule = rules.emplace_back();
+        rule.action = allow ? RuleAction::kAllow : RuleAction::kDeny;
+        ok = parse_filter_rule(cur, rule, error);
+      } else if (cur.take("vpg")) {
+        ok = parse_vpg_rule(cur, rules.emplace_back(), error);
+      } else if (cur.take("default")) {
+        ok = parse_default(cur, default_action, error);
       } else {
-        return fail("default action must be allow or deny");
+        error = "unknown directive '" + std::string(cur.take()) + "'";
       }
-      continue;
+      if (ok && !cur.at_end()) {
+        error = "trailing tokens";
+        ok = false;
+      }
+      if (!ok) {
+        result.error = PolicyParseError{line_no, std::move(error)};
+        return result;
+      }
     }
-
-    if (tokens[0] == "allow" || tokens[0] == "deny") {
-      Rule rule;
-      rule.action = tokens[0] == "allow" ? RuleAction::kAllow : RuleAction::kDeny;
-      std::size_t i = 1;
-      if (i >= tokens.size()) return fail("expected protocol");
-      if (!parse_protocol(tokens[i++], rule.protocol)) {
-        return fail("unknown protocol '" + std::string(tokens[i - 1]) + "'");
-      }
-      std::string error;
-      if (i >= tokens.size() || tokens[i] != "from") return fail("expected 'from'");
-      ++i;
-      if (!parse_endpoint(tokens, i, rule.src_net, rule.src_prefix, rule.src_ports,
-                          error)) {
-        return fail(error);
-      }
-      if (i >= tokens.size() || tokens[i] != "to") return fail("expected 'to'");
-      ++i;
-      if (!parse_endpoint(tokens, i, rule.dst_net, rule.dst_prefix, rule.dst_ports,
-                          error)) {
-        return fail(error);
-      }
-      if (i < tokens.size() && tokens[i] == "oneway") {
-        rule.bidirectional = false;
-        ++i;
-      }
-      if (i != tokens.size()) return fail("trailing tokens");
-      rule_set.add(rule);
-      continue;
-    }
-
-    if (tokens[0] == "vpg") {
-      Rule rule;
-      rule.action = RuleAction::kVpg;
-      std::size_t i = 1;
-      if (i >= tokens.size() || !parse_u32(tokens[i], rule.vpg_id) || rule.vpg_id == 0) {
-        return fail("expected nonzero vpg id");
-      }
-      ++i;
-      std::string error;
-      if (i >= tokens.size() || tokens[i] != "between") return fail("expected 'between'");
-      ++i;
-      if (!parse_endpoint(tokens, i, rule.src_net, rule.src_prefix, rule.src_ports,
-                          error)) {
-        return fail(error);
-      }
-      if (i >= tokens.size() || tokens[i] != "and") return fail("expected 'and'");
-      ++i;
-      if (!parse_endpoint(tokens, i, rule.dst_net, rule.dst_prefix, rule.dst_ports,
-                          error)) {
-        return fail(error);
-      }
-      if (i != tokens.size()) return fail("trailing tokens");
-      rule_set.add(rule);
-      continue;
-    }
-
-    return fail("unknown directive '" + std::string(tokens[0]) + "'");
+    line = cur.next_line();
   }
 
-  result.rule_set = std::move(rule_set);
+  result.rule_set.emplace(std::move(rules), default_action);
   return result;
 }
 

@@ -2,6 +2,7 @@
 
 #include <charconv>
 
+#include "util/heap_bytes.h"
 #include "util/logging.h"
 
 namespace barb::firewall {
@@ -16,6 +17,10 @@ PolicyAgent::PolicyAgent(stack::Host& host, FirewallNic& nic, net::Ipv4Address s
       key_(deployment_key.begin(), deployment_key.end()) {}
 
 void PolicyAgent::start() { connect(); }
+
+std::size_t PolicyAgent::memory_bytes() const {
+  return util::heap_bytes(key_) + reader_.memory_bytes();
+}
 
 void PolicyAgent::start_after(sim::Duration delay) {
   reconnect_timer_ = host_.simulation().schedule(delay, [this] { connect(); });

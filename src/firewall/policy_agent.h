@@ -38,6 +38,8 @@ class PolicyAgent {
 
   const PolicyAgentStats& stats() const { return stats_; }
   bool connected() const { return conn_ != nullptr; }
+  // Heap held: the deployment key and any partly received message.
+  std::size_t memory_bytes() const;
 
   sim::Duration heartbeat_interval = sim::Duration::seconds(1);
   sim::Duration reconnect_delay = sim::Duration::seconds(2);

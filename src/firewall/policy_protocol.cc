@@ -42,7 +42,11 @@ std::optional<PolicyMessage> PolicyMessageReader::next(
     return std::nullopt;
   }
   const std::size_t total = kHeaderSize + len + kPolicyMacSize;
-  if (buffer_.size() < total) return std::nullopt;
+  if (buffer_.size() < total) {
+    // Room for the rest of the message, so its segments append in place.
+    buffer_.reserve(total);
+    return std::nullopt;
+  }
 
   const std::span<const std::uint8_t> authed(buffer_.data(), kHeaderSize + len);
   const std::span<const std::uint8_t> mac(buffer_.data() + kHeaderSize + len,
@@ -62,6 +66,8 @@ std::optional<PolicyMessage> PolicyMessageReader::next(
   msg.seq = seq;
   msg.body.assign(reinterpret_cast<const char*>(buffer_.data() + kHeaderSize), len);
   buffer_.erase(buffer_.begin(), buffer_.begin() + static_cast<long>(total));
+  // A drained reader holds no buffer: a fleet agent idles between pushes.
+  if (buffer_.empty()) buffer_ = std::vector<std::uint8_t>();
   return msg;
 }
 

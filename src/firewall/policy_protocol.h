@@ -57,6 +57,8 @@ class PolicyMessageReader {
 
   std::optional<PolicyMessage> next(std::span<const std::uint8_t> key);
   bool corrupted() const { return corrupted_; }
+  // Heap held by buffered bytes; zero once every message is consumed.
+  std::size_t memory_bytes() const { return buffer_.capacity(); }
 
  private:
   std::vector<std::uint8_t> buffer_;

@@ -5,6 +5,7 @@
 #include <string_view>
 
 #include "util/byte_io.h"
+#include "util/heap_bytes.h"
 #include "util/logging.h"
 
 namespace barb::firewall {
@@ -14,6 +15,36 @@ struct PolicyServer::Session {
   PolicyMessageReader reader;
   net::Ipv4Address agent;  // set after hello
   bool identified = false;
+  // Encoded bytes, in message order, that the connection's send buffer had
+  // no room for yet; the first `unsent_offset` of them have gone since.
+  std::vector<std::uint8_t> unsent;
+  std::size_t unsent_offset = 0;
+
+  // Queues a message behind any unsent bytes; what the connection accepts
+  // goes now, the rest when it reports send space.
+  void send(std::span<const std::uint8_t> bytes) {
+    if (unsent.empty()) {
+      bytes = bytes.subspan(conn->send(bytes));
+      if (bytes.empty()) return;
+    } else {
+      unsent.erase(unsent.begin(), unsent.begin() + static_cast<long>(unsent_offset));
+      unsent_offset = 0;
+    }
+    unsent.insert(unsent.end(), bytes.begin(), bytes.end());
+  }
+
+  void flush() {
+    if (unsent.empty()) return;
+    unsent_offset += conn->send(std::span(unsent).subspan(unsent_offset));
+    if (unsent_offset == unsent.size()) {
+      unsent = std::vector<std::uint8_t>();
+      unsent_offset = 0;
+    }
+  }
+
+  std::size_t memory_bytes() const {
+    return reader.memory_bytes() + util::heap_bytes(unsent);
+  }
 };
 
 PolicyServer::PolicyServer(stack::Host& host, std::span<const std::uint8_t> deployment_key,
@@ -39,10 +70,15 @@ void PolicyServer::start() {
         session->conn->abort();
       }
     };
+    conn->on_send_space = [session] { session->flush(); };
     conn->on_closed = [this, session] {
-      if (session->identified) {
+      // A session replaced by a newer hello from the same agent closes
+      // without touching the live one.
+      const auto it =
+          session->identified ? sessions_.find(session->agent) : sessions_.end();
+      if (it != sessions_.end() && it->second == session) {
         agents_[session->agent].connected = false;
-        sessions_.erase(session->agent);
+        sessions_.erase(it);
       }
       std::erase(pending_, session);
     };
@@ -55,18 +91,24 @@ std::uint64_t PolicyServer::policy_version(net::Ipv4Address agent) const {
 }
 
 void PolicyServer::set_policy(net::Ipv4Address agent, std::string policy_text) {
+  assign_policy(agent, std::make_shared<const std::string>(std::move(policy_text)));
+}
+
+void PolicyServer::assign_policy(net::Ipv4Address agent,
+                                 std::shared_ptr<const std::string> text) {
   auto& entry = policies_[agent];
-  entry.text = std::move(policy_text);
+  entry.text = std::move(text);
   ++entry.version;
   push_policy(agent);
 }
 
 std::size_t PolicyServer::set_policy_all(std::span<const net::Ipv4Address> agents,
                                          const std::string& policy_text) {
+  const auto text = std::make_shared<const std::string>(policy_text);
   std::size_t pushed = 0;
   for (const auto& agent : agents) {
     const bool live = sessions_.contains(agent);
-    set_policy(agent, policy_text);
+    assign_policy(agent, text);
     if (live) ++pushed;
   }
   return pushed;
@@ -99,6 +141,31 @@ void PolicyServer::register_metrics(telemetry::MetricRegistry& registry,
   });
 }
 
+std::size_t PolicyServer::memory_bytes() const {
+  // make_shared keeps the object after two reference counts and a vtable
+  // pointer.
+  constexpr std::size_t kSharedHeader = sizeof(void*) + 2 * sizeof(int);
+  std::size_t bytes = util::heap_bytes(key_) + util::heap_bytes(policies_) +
+                      util::heap_bytes(agents_) + util::heap_bytes(sessions_) +
+                      util::heap_bytes(pending_);
+  std::vector<const std::string*> texts;
+  for (const auto& [agent, entry] : policies_) {
+    bytes += util::heap_bytes(entry.keys);
+    for (const auto& k : entry.keys) bytes += util::heap_bytes(k.master_key);
+    if (entry.text && std::ranges::find(texts, entry.text.get()) == texts.end()) {
+      texts.push_back(entry.text.get());
+      bytes += kSharedHeader + sizeof(std::string) + util::heap_bytes(*entry.text);
+    }
+  }
+  for (const auto& [agent, session] : sessions_) {
+    bytes += kSharedHeader + sizeof(Session) + session->memory_bytes();
+  }
+  for (const auto& session : pending_) {
+    bytes += kSharedHeader + sizeof(Session) + session->memory_bytes();
+  }
+  return bytes;
+}
+
 void PolicyServer::create_vpg(std::uint32_t vpg_id,
                               std::span<const net::Ipv4Address> members) {
   std::vector<std::uint8_t> master(32);
@@ -125,7 +192,7 @@ void PolicyServer::command_restart(net::Ipv4Address agent) {
 std::string PolicyServer::render_policy_body(net::Ipv4Address agent) {
   const auto& entry = policies_[agent];
   std::string body = "version " + std::to_string(entry.version) + "\n";
-  body += entry.text;
+  if (entry.text) body += *entry.text;
   if (!body.ends_with('\n')) body += "\n";
   for (const auto& k : entry.keys) {
     body += "vpgkey " + std::to_string(k.vpg_id) + " " + to_hex(k.master_key) + "\n";
@@ -150,7 +217,7 @@ void PolicyServer::send_to(net::Ipv4Address agent, const PolicyMessage& msg) {
   if (sit == sessions_.end()) return;
   const auto bytes = encode_policy_message(msg, key_);
   stats_.push_bytes += msg.type == PolicyMsgType::kPolicyUpdate ? bytes.size() : 0;
-  sit->second->conn->send(bytes);
+  sit->second->send(bytes);
 }
 
 void PolicyServer::handle_message(Session& session, const PolicyMessage& msg) {

@@ -61,8 +61,9 @@ class PolicyServer {
   void set_policy(net::Ipv4Address agent, std::string policy_text);
 
   // Fleet fan-out: sets the same policy text for every listed agent (each
-  // gets its own versioned entry and an immediate push when connected).
-  // Returns the number of pushes sent synchronously.
+  // gets its own versioned entry, sharing one copy of the text, and an
+  // immediate push when connected). Returns the number of pushes sent
+  // synchronously.
   std::size_t set_policy_all(std::span<const net::Ipv4Address> agents,
                              const std::string& policy_text);
 
@@ -95,16 +96,23 @@ class PolicyServer {
   void register_metrics(telemetry::MetricRegistry& registry,
                         const std::string& labels);
 
+  // Heap held: policy entries (each distinct text once), agent status and
+  // sessions with their receive buffers and unsent bytes. The connections
+  // themselves belong to the host's TCP layer.
+  std::size_t memory_bytes() const;
+
  private:
   struct Session;
 
+  void assign_policy(net::Ipv4Address agent, std::shared_ptr<const std::string> text);
   std::string render_policy_body(net::Ipv4Address agent);
   void push_policy(net::Ipv4Address agent);
   void send_to(net::Ipv4Address agent, const PolicyMessage& msg);
   void handle_message(Session& session, const PolicyMessage& msg);
 
   struct PolicyEntry {
-    std::string text;
+    // Immutable once set; a fleet fan-out shares one text across entries.
+    std::shared_ptr<const std::string> text;
     std::vector<VpgKeyEntry> keys;
     std::uint64_t version = 0;
   };

@@ -5,6 +5,14 @@
 namespace barb::net {
 
 std::optional<Ipv4Address> Ipv4Address::parse(std::string_view text) {
+  std::size_t length = 0;
+  const auto address = parse_front(text, length);
+  if (!address || length != text.size()) return std::nullopt;
+  return address;
+}
+
+std::optional<Ipv4Address> Ipv4Address::parse_front(std::string_view text,
+                                                    std::size_t& length) {
   std::uint32_t value = 0;
   std::size_t pos = 0;
   for (int octet = 0; octet < 4; ++octet) {
@@ -24,7 +32,7 @@ std::optional<Ipv4Address> Ipv4Address::parse(std::string_view text) {
       ++pos;
     }
   }
-  if (pos != text.size()) return std::nullopt;
+  length = pos;
   return Ipv4Address(value);
 }
 

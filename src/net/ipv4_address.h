@@ -18,7 +18,13 @@ class Ipv4Address {
       : value_(static_cast<std::uint32_t>(a) << 24 | static_cast<std::uint32_t>(b) << 16 |
                static_cast<std::uint32_t>(c) << 8 | d) {}
 
+  // Dotted-quad text ("10.0.0.1"): four groups of one to three digits, each
+  // at most 255. Nothing else may follow.
   static std::optional<Ipv4Address> parse(std::string_view text);
+  // The dotted quad at the front of `text`; `length` is set to the bytes it
+  // took, and what follows them is the caller's to check.
+  static std::optional<Ipv4Address> parse_front(std::string_view text,
+                                                std::size_t& length);
   static constexpr Ipv4Address any() { return Ipv4Address(0); }
   static constexpr Ipv4Address broadcast() { return Ipv4Address(0xffffffff); }
 

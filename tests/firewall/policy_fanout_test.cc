@@ -52,6 +52,20 @@ struct Fleet {
   }
 };
 
+// `rules` rules, about 53 bytes each: the management-plane allow first, so
+// an agent's acks still reach the server once the policy is installed, then
+// distinct UDP denies.
+std::string sized_policy(int rules, net::Ipv4Address server) {
+  std::string text = "default deny\nallow tcp from any to " + server.to_string() + " port " +
+                     std::to_string(PolicyServer::kDefaultPort) + "\n";
+  for (int i = 1; i < rules; ++i) {
+    text += "deny udp from 10.1." + std::to_string(i / 250) + "." +
+            std::to_string(i % 250 + 1) + " to 172.16.0.0/12 port " +
+            std::to_string(1024 + i) + "\n";
+  }
+  return text;
+}
+
 TEST(PolicyFanout, SetPolicyAllReachesEveryAgent) {
   Fleet fleet(12);
   fleet.server->set_policy_all(fleet.agent_ips,
@@ -199,6 +213,89 @@ TEST(PolicyFanout, MalformedAcksAreIgnored) {
   EXPECT_EQ(fleet.server->count_acked_at_least(1), 1u);
   EXPECT_EQ(fleet.server->count_acked_at_least(2), 0u);
   conn->reset_callbacks();
+}
+
+// A policy message larger than the server's free TCP send buffer (256 KiB)
+// goes out in pieces as the connection drains; none of it is dropped.
+TEST(PolicyFanout, PolicyLargerThanSendBufferArrives) {
+  Fleet fleet(1);
+  fleet.sim.run_for(sim::Duration::milliseconds(100));
+  ASSERT_EQ(fleet.server->count_connected(), 1u);
+
+  const std::string text = sized_policy(6000, fleet.fabric->host(kServerHost).ip());
+  fleet.server->set_policy_all(fleet.agent_ips, text);
+  EXPECT_GT(fleet.server->stats().push_bytes, stack::TcpConfig{}.send_buffer_cap);
+  fleet.sim.run_for(sim::Duration::seconds(2));
+
+  EXPECT_EQ(fleet.server->count_acked_at_least(1), 1u);
+  EXPECT_EQ(fleet.agents[0]->stats().policies_applied, 1u);
+  EXPECT_EQ(fleet.agents[0]->stats().policy_errors, 0u);
+  EXPECT_EQ(fleet.agents[0]->stats().reconnects, 0u);
+  EXPECT_EQ(fleet.server->stats().corrupted_streams, 0u);
+  EXPECT_EQ(fleet.fabric->firewall(1)->rule_set().size(), 6000u);
+}
+
+// One host enrolls twice; the second hello adopts the newer session.
+// Closing the stale one must leave the live one connected and pushable.
+TEST(PolicyFanout, ClosingStaleSessionKeepsLiveOne) {
+  Fleet fleet(0, /*raw_hosts=*/1);
+  stack::Host& raw = fleet.fabric->host(1);
+  const net::Ipv4Address server_ip = fleet.fabric->host(kServerHost).ip();
+  std::uint64_t seq = 1;
+  auto hello_on = [&](const std::shared_ptr<stack::TcpConnection>& conn) {
+    conn->on_connected = [&, c = conn.get()] {
+      PolicyMessage msg;
+      msg.type = PolicyMsgType::kHello;
+      msg.seq = seq++;
+      msg.body = "host " + raw.ip().to_string();
+      c->send(encode_policy_message(msg, fleet.key));
+    };
+  };
+  auto stale = raw.tcp_connect(server_ip, PolicyServer::kDefaultPort);
+  hello_on(stale);
+  fleet.sim.run_for(sim::Duration::milliseconds(100));
+  auto live = raw.tcp_connect(server_ip, PolicyServer::kDefaultPort);
+  hello_on(live);
+  PolicyMessageReader reader;
+  std::vector<PolicyMessage> received;
+  live->on_data = [&](std::span<const std::uint8_t> data) {
+    reader.append(data);
+    while (auto msg = reader.next(fleet.key)) received.push_back(*msg);
+  };
+  fleet.sim.run_for(sim::Duration::milliseconds(100));
+  ASSERT_EQ(fleet.server->stats().hellos, 2u);
+  ASSERT_EQ(fleet.server->count_connected(), 1u);
+
+  stale->abort();
+  fleet.sim.run_for(sim::Duration::milliseconds(100));
+  ASSERT_EQ(live->state(), stack::TcpState::kEstablished);
+  EXPECT_EQ(fleet.server->count_connected(), 1u);
+
+  fleet.server->set_policy(raw.ip(), "default allow\n");
+  EXPECT_EQ(fleet.server->stats().pushes, 1u);
+  fleet.sim.run_for(sim::Duration::milliseconds(100));
+  ASSERT_EQ(received.size(), 1u);
+  EXPECT_EQ(received[0].type, PolicyMsgType::kPolicyUpdate);
+  EXPECT_EQ(received[0].body, "version 1\ndefault allow\n");
+  live->reset_callbacks();
+}
+
+// A fleet push keeps one copy of the text at the server, and an agent that
+// has consumed its message keeps no receive buffer.
+TEST(PolicyFanout, ServerHoldsOneTextAndDrainedReadersHoldNoBuffer) {
+  Fleet fleet(8);
+  const std::string text = sized_policy(1000, fleet.fabric->host(kServerHost).ip());
+  fleet.server->set_policy_all(fleet.agent_ips, text);
+  fleet.sim.run_for(sim::Duration::seconds(3));
+  ASSERT_EQ(fleet.server->count_acked_at_least(1), 8u);
+
+  const std::size_t server_bytes = fleet.server->memory_bytes();
+  EXPECT_GT(server_bytes, text.size());
+  EXPECT_LT(server_bytes, 2 * text.size());
+  for (const auto& agent : fleet.agents) {
+    EXPECT_EQ(agent->stats().policies_applied, 1u);
+    EXPECT_EQ(agent->memory_bytes(), fleet.key.size());
+  }
 }
 
 }  // namespace

@@ -123,10 +123,10 @@ int main(int argc, char** argv) {
     if (out.ok) {
       std::printf("ok seed=%" PRIu64 " (%s, %" PRIu64 " differential checks, parse "
                   "oracle frames: testbed %" PRIu64 ", star %" PRIu64 ", fabric %" PRIu64
-                  ")\n",
+                  ", policy parser oracle corpora: %" PRIu64 ")\n",
                   out.seed, out.summary.c_str(), out.differential_checks,
                   out.parse_checks.testbed, out.parse_checks.star,
-                  out.parse_checks.fabric);
+                  out.parse_checks.fabric, out.policy_parse_checks.corpora);
       return 0;
     }
     report_failure(out);
@@ -154,12 +154,15 @@ int main(int argc, char** argv) {
   std::uint64_t passed = 0;
   std::uint64_t total_checks = 0;
   FuzzOutcome::ParseChecks parse_checks;
+  FuzzOutcome::PolicyParseChecks policy_parse_checks;
   int failures = 0;
   for (const auto& out : outcomes) {
     total_checks += out.differential_checks;
     parse_checks.testbed += out.parse_checks.testbed;
     parse_checks.star += out.parse_checks.star;
     parse_checks.fabric += out.parse_checks.fabric;
+    policy_parse_checks.corpora += out.policy_parse_checks.corpora;
+    policy_parse_checks.rules += out.policy_parse_checks.rules;
     if (options.verbose) {
       std::printf("%s seed=%" PRIu64 " (%s)\n", out.ok ? "ok  " : "FAIL", out.seed,
                   out.summary.c_str());
@@ -177,5 +180,7 @@ int main(int argc, char** argv) {
   std::printf("parse oracle frames: testbed %" PRIu64 ", star %" PRIu64 ", fabric %" PRIu64
               "\n",
               parse_checks.testbed, parse_checks.star, parse_checks.fabric);
+  std::printf("policy parser oracle: %" PRIu64 " corpora, %" PRIu64 " rules\n",
+              policy_parse_checks.corpora, policy_parse_checks.rules);
   return failures == 0 ? 0 : 1;
 }

@@ -27,6 +27,7 @@
 #include "telemetry/json.h"
 #include "testutil/fixtures.h"
 #include "testutil/reference_frames.h"
+#include "testutil/reference_policy.h"
 #include "testutil/tcp_helpers.h"
 #include "util/byte_io.h"
 
@@ -360,7 +361,9 @@ std::uint64_t run_differential_oracle(std::uint64_t seed, Failures fail) {
 //    instance at its recorded indices, and a corpus generated clean must
 //    produce zero error-class findings (any is a false positive);
 //  * DSL round trip — the corpus must survive to_string -> parse_policy ->
-//    to_string byte-identically (policies travel to agents as DSL text);
+//    to_string byte-identically (policies travel to agents as DSL text), and
+//    the reference tokenizer parser must read the same text to the same
+//    rules, default action and error;
 //  * three-way differential — naive reference vs RuleSet::match vs the
 //    compiled classifier on tuples drawn from the rules' own address
 //    universe (plus perturbed near-misses), then through each compiled
@@ -406,7 +409,8 @@ PolicyCase generate_policy_case(sim::Random& rng) {
 }
 
 std::uint64_t run_policy_oracle(std::uint64_t seed, Failures fail,
-                                std::string* summary) {
+                                std::string* summary,
+                                FuzzOutcome::PolicyParseChecks* parse_checks) {
   namespace pg = firewall::policygen;
   sim::Random rng(core::derive_point_seed(seed ^ kPolicySalt, 0));
   pg::PolicyCorpusGenerator gen(core::derive_point_seed(seed ^ kPolicySalt, 1));
@@ -454,6 +458,14 @@ std::uint64_t run_policy_oracle(std::uint64_t seed, Failures fail,
     } else if (parsed.rule_set->to_string() != text) {
       fail("policy-dsl: corpus changed across to_string -> parse -> to_string "
            "on " + what);
+    }
+    const auto reference = testutil::reference::parse_policy(text);
+    ++parse_checks->corpora;
+    parse_checks->rules += corpus.rules.size();
+    if (const auto diff = testutil::reference::policy_difference(parsed, reference);
+        !diff.empty()) {
+      fail("policy-parser: parse_policy and the reference parser differ (" + diff +
+           ") on " + what);
     }
 
     // Three-way differential over universe traffic + perturbed near-misses.
@@ -1347,7 +1359,8 @@ FuzzOutcome run_seed(std::uint64_t seed, const FuzzOptions& options) {
   }
 
   if (policy) {
-    out.differential_checks += run_policy_oracle(seed, fail, &out.summary);
+    out.differential_checks +=
+        run_policy_oracle(seed, fail, &out.summary, &out.policy_parse_checks);
   }
   if (out.scenario_json.empty()) {
     // Policy-only runs still need a replayable scenario file: everything is

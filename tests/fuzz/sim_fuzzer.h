@@ -75,6 +75,12 @@ struct FuzzOutcome {
     std::uint64_t star = 0;
     std::uint64_t fabric = 0;
   } parse_checks;
+  // Generated policy corpora parsed by parse_policy and by the reference
+  // parser, and the rules in them.
+  struct PolicyParseChecks {
+    std::uint64_t corpora = 0;
+    std::uint64_t rules = 0;
+  } policy_parse_checks;
   // One-line description of the generated scenario.
   std::string summary;
 };
