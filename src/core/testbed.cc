@@ -95,10 +95,8 @@ void Testbed::build_hosts() {
   link_cfg.queue_bytes = 768 * 1024;
 
   TopologyBuilder builder(sim_);
-  // The preset keeps the legacy full-mesh ARP installation and the default
-  // learning switch (byte-identity with the wiring it replaced); fleet
-  // fabrics use the shared directory and preloaded FIBs instead.
-  builder.set_shared_arp(false);
+  // The preset keeps the default learning switch (byte-identity with the
+  // wiring it replaced); fleet fabrics preload their FIBs instead.
   const int sw = builder.add_switch("switch");
 
   // Policy server host (the testbed's Windows 2000 box) and attacker use

@@ -229,20 +229,10 @@ std::unique_ptr<Fabric> TopologyBuilder::build() {
   Fabric& f = *fabric_;
 
   // Address resolution.
-  if (shared_arp_) {
-    f.directory_ = std::make_shared<stack::AddressDirectory>();
-    for (const auto& h : f.hosts_) f.directory_->add(h->ip(), h->mac());
-    f.directory_->freeze();
-    for (const auto& h : f.hosts_) h->arp().set_directory(f.directory_.get());
-  } else {
-    // Legacy full-mesh installation (the 4-host preset's byte-identical
-    // path): every host gets every other host's binding privately.
-    for (const auto& h1 : f.hosts_) {
-      for (const auto& h2 : f.hosts_) {
-        if (h1 != h2) h1->arp().add(h2->ip(), h2->mac());
-      }
-    }
-  }
+  f.directory_ = std::make_shared<stack::AddressDirectory>();
+  for (const auto& h : f.hosts_) f.directory_->add(h->ip(), h->mac());
+  f.directory_->freeze();
+  for (const auto& h : f.hosts_) h->arp().set_directory(f.directory_.get());
 
   if (!static_routes_) return std::move(fabric_);
 

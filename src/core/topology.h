@@ -18,10 +18,9 @@
 //  * campus tree — edge switches under one core switch: the classic
 //    building-distribution shape; loop-free but preloaded all the same.
 //
-// Address resolution at fleet scale uses one shared AddressDirectory
-// (O(total hosts) memory for the whole fleet) instead of a full mesh of
-// per-host ARP tables (O(hosts^2)); the Testbed preset keeps the legacy
-// full-mesh installation for byte-identity.
+// Address resolution uses one shared AddressDirectory per fabric (O(total
+// hosts) memory) instead of a full mesh of per-host ARP tables (O(hosts^2)),
+// for the Testbed preset as for every fleet.
 #pragma once
 
 #include <cstdint>
@@ -179,17 +178,13 @@ class TopologyBuilder {
   // Declares a trunk between two switches.
   void connect_switches(int a, int b, const link::LinkConfig& link_config);
 
-  // Shared-directory address resolution (default) vs. the legacy full-mesh
-  // per-host ARP installation the 4-host preset uses.
-  void set_shared_arp(bool shared) { shared_arp_ = shared; }
-
   // Preload pinned FIB routes for every host into every switch at build()
   // (required for fabrics with redundant paths; they must also disable
   // learning/flooding via their SwitchConfig). Routes spread equal-cost
   // trunk choices by destination host index.
   void enable_static_routes() { static_routes_ = true; }
 
-  // Finalizes address resolution (+ routes) and returns the fabric.
+  // Freezes the shared address directory (+ routes) and returns the fabric.
   std::unique_ptr<Fabric> build();
 
  private:
@@ -199,7 +194,6 @@ class TopologyBuilder {
 
   std::unique_ptr<Fabric> fabric_;
   std::vector<Trunk> trunks_;
-  bool shared_arp_ = true;
   bool static_routes_ = false;
   bool built_ = false;
 };

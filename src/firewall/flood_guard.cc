@@ -21,41 +21,30 @@ void FloodGuard::reconfigure_for_capacity(double walk_frames_per_sec) {
   new_sources_ =
       TokenBucket(std::max(1.0, config_.new_source_rate), config_.new_source_burst);
   sources_.clear();
-  lru_.clear();
 }
 
 bool FloodGuard::admit(const net::FrameView& view, sim::TimePoint now) {
-  if (!config_.enabled) return true;
   ++stats_.screened;
   if (!view.ip) return true;  // non-IP frames are not rate-limited here
 
   const std::uint32_t source = view.ip->src.value();
-  auto it = sources_.find(source);
-  if (it == sources_.end()) {
+  SourceEntry* found = sources_.find(source);
+  if (found == nullptr) {
     // First contact: spend a new-source token before tracking it. This is
     // what blunts spoofed floods — every spoofed packet is "new".
     if (!new_sources_.try_consume(now)) {
       ++stats_.new_source_drops;
       return false;
     }
-    if (sources_.size() >= config_.max_sources) {
-      sources_.erase(lru_.back());
-      lru_.pop_back();
-      ++stats_.evictions;
-    }
-    lru_.push_front(source);
-    auto [inserted, _] = sources_.emplace(
-        source, SourceEntry{TokenBucket(std::max(1.0, per_source_rate_),
-                                        config_.per_source_burst),
-                            lru_.begin()});
-    it = inserted;
+    TokenBucket bucket(std::max(1.0, per_source_rate_), config_.per_source_burst);
     // Burn idle accrual so a brand-new source starts with its burst only.
-    (void)it->second.bucket.tokens(now);
-  } else {
-    lru_.splice(lru_.begin(), lru_, it->second.lru_position);
+    (void)bucket.tokens(now);
+    auto inserted = sources_.insert(source, SourceEntry{bucket});
+    if (inserted.evicted) ++stats_.evictions;
+    found = &inserted.value;
   }
 
-  SourceEntry& entry = it->second;
+  SourceEntry& entry = *found;
   if (now < entry.penalized_until) {
     ++stats_.penalized_drops;
     return false;

@@ -26,18 +26,17 @@
 #pragma once
 
 #include <cstdint>
-#include <list>
-#include <unordered_map>
 
 #include "net/frame_view.h"
 #include "sim/time.h"
-#include "util/heap_bytes.h"
+#include "util/lru_table.h"
 #include "util/token_bucket.h"
 
 namespace barb::firewall {
 
+// A card screens with FloodGuard only when one is configured
+// (NicSpec::flood_guard, TestbedConfig::flood_guard).
 struct FloodGuardConfig {
-  bool enabled = false;
   // Ceilings; reconfigure_for_capacity lowers the effective rates so that
   // admitted * walk_cost stays below the fractions given here.
   double per_source_rate = 12000.0;
@@ -59,7 +58,8 @@ struct FloodGuardConfig {
   // Screening cost per arriving frame on the embedded CPU.
   sim::Duration screen_cost = sim::Duration::microseconds(2);
   // Bounded source table (LRU eviction) — the guard itself must not be a
-  // memory-exhaustion target.
+  // memory-exhaustion target. Its slot array (2 × max_sources slots, 32 KiB
+  // by default) is allocated by the first source admitted.
   std::size_t max_sources = 4096;
 };
 
@@ -75,15 +75,16 @@ struct FloodGuardStats {
 
 class FloodGuard {
  public:
-  explicit FloodGuard(FloodGuardConfig config) : config_(config) { apply_rates(); }
+  explicit FloodGuard(FloodGuardConfig config)
+      : config_(config), sources_(config.max_sources) {
+    apply_rates();
+  }
 
   const FloodGuardConfig& config() const { return config_; }
   const FloodGuardStats& stats() const { return stats_; }
   std::size_t tracked_sources() const { return sources_.size(); }
-  // Heap held by the per-source table and its LRU list.
-  std::size_t memory_bytes() const {
-    return util::heap_bytes(sources_) + util::heap_bytes(lru_);
-  }
+  // Heap held by the per-source table.
+  std::size_t memory_bytes() const { return sources_.memory_bytes(); }
   double effective_per_source_rate() const { return per_source_rate_; }
   double effective_aggregate_rate() const { return aggregate_rate_; }
 
@@ -97,7 +98,6 @@ class FloodGuard {
  private:
   struct SourceEntry {
     TokenBucket bucket;
-    std::list<std::uint32_t>::iterator lru_position;
     std::uint64_t violations = 0;
     sim::TimePoint violation_window_start{};
     sim::TimePoint penalized_until{};
@@ -110,8 +110,7 @@ class FloodGuard {
   double aggregate_rate_ = 0;
   TokenBucket aggregate_{1.0, 1.0};
   TokenBucket new_sources_{1.0, 1.0};
-  std::unordered_map<std::uint32_t, SourceEntry> sources_;
-  std::list<std::uint32_t> lru_;  // front = most recent
+  util::LruTable<std::uint32_t, SourceEntry> sources_;  // keyed by IPv4 source
   FloodGuardStats stats_;
 };
 

@@ -9,24 +9,17 @@
 // exactly why statefulness repairs Figure 2's depth penalty but not
 // Figure 3's flood vulnerability).
 //
-// Storage: each live flow's canonical tuple is interned once in a slab
-// (net::FiveTupleSlab) and referenced by a 32-bit handle from (a) an
-// open-addressing slot array and (b) intrusive LRU links — three flat
-// vectors total, zero allocations per flow in steady state. The previous
-// implementation paid an unordered_map node plus a std::list node per flow
-// (two heap allocations and two tuple copies); under a spoofed flood that
-// churn was the table's dominant cost. Semantics (hit/miss/expire/evict
-// order and counters) are unchanged. The slot array is allocated once, at the
-// first insert, and never grows after: a card that never admits a flow (the
-// paper's stateless EFW/ADF) holds no table at all.
+// Storage: a util::LruTable keyed by the direction-insensitive tuple, holding
+// each flow's last-seen time inline (32 B per node, 4 B per slot). Its slot
+// array is allocated at the first insert: a card that never admits a flow
+// (the paper's stateless EFW/ADF) holds no table at all.
 #pragma once
 
 #include <cstdint>
-#include <vector>
 
 #include "net/five_tuple.h"
-#include "net/intern.h"
 #include "sim/time.h"
+#include "util/lru_table.h"
 
 namespace barb::firewall {
 
@@ -45,32 +38,52 @@ struct FlowStateStats {
 
 class FlowStateTable {
  public:
-  explicit FlowStateTable(FlowStateConfig config = {});
+  explicit FlowStateTable(FlowStateConfig config = {})
+      : config_(config), flows_(config.max_entries) {}
 
-  // True if the flow (in either direction) has live state; refreshes it.
-  bool lookup(const net::FiveTuple& tuple, sim::TimePoint now);
+  // True if the flow (in either direction) has live state; refreshes it. An
+  // entry idle for longer than the timeout is dropped and misses.
+  bool lookup(const net::FiveTuple& tuple, sim::TimePoint now) {
+    const net::FiveTuple key = canonical(tuple);
+    sim::TimePoint* last_seen = flows_.find(key);
+    if (last_seen == nullptr) {
+      ++stats_.misses;
+      return false;
+    }
+    if (now - *last_seen > config_.idle_timeout) {
+      flows_.erase(key);
+      ++stats_.expirations;
+      ++stats_.misses;
+      return false;
+    }
+    *last_seen = now;
+    ++stats_.hits;
+    return true;
+  }
 
   // Registers an allowed flow (idempotent; refreshes existing state).
-  void insert(const net::FiveTuple& tuple, sim::TimePoint now);
+  void insert(const net::FiveTuple& tuple, sim::TimePoint now) {
+    const net::FiveTuple key = canonical(tuple);
+    if (sim::TimePoint* last_seen = flows_.find(key)) {
+      *last_seen = now;
+      return;
+    }
+    if (flows_.insert(key, now).evicted) ++stats_.evictions;
+    ++stats_.inserts;
+  }
 
   // Drops every entry. Runs on each policy install and card restart, so it
   // touches the slot array only when the table holds entries.
-  void clear();
-  std::size_t size() const { return live_; }
+  void clear() { flows_.clear(); }
+  std::size_t size() const { return flows_.size(); }
   // Configured slot count (allocated or not).
-  std::size_t slot_count() const { return slot_mask_ + 1; }
+  std::size_t slot_count() const { return flows_.slot_count(); }
   const FlowStateStats& stats() const { return stats_; }
 
-  // Heap footprint: slot array + tuple slab + LRU/timestamp nodes (zero
-  // until the first insert).
-  std::size_t memory_bytes() const {
-    return slots_.capacity() * sizeof(std::uint32_t) + tuples_.memory_bytes() +
-           nodes_.capacity() * sizeof(Node);
-  }
+  // Heap footprint: slot array + flow nodes (zero until the first insert).
+  std::size_t memory_bytes() const { return flows_.memory_bytes(); }
 
  private:
-  static constexpr std::uint32_t kNil = 0xffffffffu;
-
   // Direction-insensitive canonical form.
   static net::FiveTuple canonical(const net::FiveTuple& tuple) {
     const bool ordered =
@@ -79,31 +92,8 @@ class FlowStateTable {
     return ordered ? tuple : tuple.reversed();
   }
 
-  struct Node {
-    sim::TimePoint last_seen;
-    std::uint32_t prev = kNil;
-    std::uint32_t next = kNil;
-  };
-
-  std::size_t home_slot(const net::FiveTuple& tuple) const;
-  // Slot holding `tuple`, or slots_.size() if absent (also when the slot
-  // array is not allocated yet).
-  std::size_t find_slot(const net::FiveTuple& tuple) const;
-  // Backward-shift deletion keeping linear-probe chains contiguous.
-  void erase_slot(std::size_t slot);
-  void remove(std::size_t slot, std::uint32_t handle);
-
-  void lru_unlink(std::uint32_t handle);
-  void lru_push_front(std::uint32_t handle);
-
   FlowStateConfig config_;
-  net::FiveTupleSlab tuples_;
-  std::vector<Node> nodes_;            // indexed by tuple handle
-  std::vector<std::uint32_t> slots_;   // handle + 1; 0 = empty; sized at first insert
-  std::size_t slot_mask_ = 0;
-  std::size_t live_ = 0;
-  std::uint32_t lru_head_ = kNil;      // most recently used
-  std::uint32_t lru_tail_ = kNil;      // eviction candidate
+  util::LruTable<net::FiveTuple, sim::TimePoint> flows_;  // value: last seen
   FlowStateStats stats_;
 };
 

@@ -53,11 +53,11 @@ void FirewallNic::enqueue(Job job) {
 
   // FloodGuard screening (inbound only): cheap per-frame cost, drops
   // over-rate traffic before it can occupy the buffer or the rule walk.
-  if (job.inbound && guard_.config().enabled) {
-    pending_overhead_ += guard_.config().screen_cost;
+  if (job.inbound && guard_) {
+    pending_overhead_ += guard_->config().screen_cost;
     const net::FrameView* view = job.pkt.view();
     if (view != nullptr && !is_management_frame(*view) &&
-        !guard_.admit(*view, sim_.now())) {
+        !guard_->admit(*view, sim_.now())) {
       ++stats_.rx_dropped;
       return;
     }
@@ -236,11 +236,11 @@ void FirewallNic::register_metrics(telemetry::MetricRegistry& registry,
 
   matcher_.register_metrics(registry, labels);
 
-  if (guard_.config().enabled) {
-    // guard_ has stable address even if enable_flood_guard replaces it.
+  if (guard_) {
+    // Read through guard_, which enable_flood_guard may replace.
     auto guard_counter = [&](const char* name, std::uint64_t FloodGuardStats::* field) {
       registry.counter_fn(name, labels, [this, field] {
-        return static_cast<double>(guard_.stats().*field);
+        return static_cast<double>(guard_->stats().*field);
       });
     };
     guard_counter("guard.screened", &FloodGuardStats::screened);
@@ -251,19 +251,19 @@ void FirewallNic::register_metrics(telemetry::MetricRegistry& registry,
     guard_counter("guard.penalties_imposed", &FloodGuardStats::penalties_imposed);
     guard_counter("guard.evictions", &FloodGuardStats::evictions);
     registry.gauge("guard.tracked_sources", labels, [this] {
-      return static_cast<double>(guard_.tracked_sources());
+      return static_cast<double>(guard_->tracked_sources());
     });
   }
 }
 
 void FirewallNic::reconfigure_guard() {
-  if (!guard_.config().enabled) return;
+  if (!guard_) return;
   // The card knows its own minimum-frame cost for the installed policy on
   // its backend; the guard scales admission so admitted traffic cannot
   // saturate the embedded CPU.
   const sim::Duration walk = profile_.arrival_overhead + profile_.fixed +
                              profile_.per_byte * 60 + matcher_.worst_case_cost();
-  guard_.reconfigure_for_capacity(1.0 / walk.to_seconds());
+  guard_->reconfigure_for_capacity(1.0 / walk.to_seconds());
 }
 
 bool FirewallNic::is_management_frame(const net::FrameView& view) const {
@@ -288,7 +288,7 @@ void FirewallNic::note_inbound_deny() {
 
 std::size_t FirewallNic::memory_bytes() const {
   return util::heap_bytes(name_) + matcher_.memory_bytes() + util::heap_bytes(queue_) +
-         vpgs_.memory_bytes() + guard_.memory_bytes();
+         vpgs_.memory_bytes() + (guard_ ? sizeof(FloodGuard) + guard_->memory_bytes() : 0);
 }
 
 }  // namespace barb::firewall

@@ -9,6 +9,7 @@
 
 #include <cstdint>
 #include <deque>
+#include <memory>
 #include <optional>
 
 #include "firewall/flood_guard.h"
@@ -54,12 +55,12 @@ class FirewallNic : public stack::Nic {
   // Enables the FloodGuard screening stage (the paper's hoped-for
   // flood-tolerant design; see flood_guard.h). Screening runs before the
   // rule walk on inbound frames at near-arrival cost.
-  void enable_flood_guard(FloodGuardConfig config) {
-    config.enabled = true;
-    guard_ = FloodGuard(config);
+  void enable_flood_guard(const FloodGuardConfig& config) {
+    guard_ = std::make_unique<FloodGuard>(config);
     reconfigure_guard();
   }
-  const FloodGuard& flood_guard() const { return guard_; }
+  // The card's FloodGuard; null unless enable_flood_guard was called.
+  const FloodGuard* flood_guard() const { return guard_.get(); }
 
   // Management exemption: traffic to/from the policy server bypasses the
   // rule walk (base cost only), mirroring the EFW's implicit always-allow
@@ -76,13 +77,14 @@ class FirewallNic : public stack::Nic {
   bool locked_up() const { return locked_; }
 
   // Heap held by the card: the matcher (rules, compiled classifier, both
-  // flow tables), the ring queue, and the VPG and FloodGuard tables.
+  // flow tables), the ring queue, the VPG table and, when configured, the
+  // FloodGuard with its source table.
   std::size_t memory_bytes() const;
 
   // Registers the card's counters ("fw.*"), queue gauges, a service-time
   // histogram ("fw.service_time_ns", fed by every processed frame), the
-  // matcher's "match.*" set (compiled backends), and — when FloodGuard is
-  // enabled — the "guard.*" screening counters.
+  // matcher's "match.*" set (compiled backends), and — when the card has a
+  // FloodGuard — the "guard.*" screening counters.
   void register_metrics(telemetry::MetricRegistry& registry,
                         const std::string& labels);
 
@@ -119,7 +121,7 @@ class FirewallNic : public stack::Nic {
   DeviceProfile profile_;
   Matcher matcher_;
   VpgTable vpgs_;
-  FloodGuard guard_{FloodGuardConfig{}};  // disabled by default
+  std::unique_ptr<FloodGuard> guard_;  // null unless configured
   std::optional<net::Ipv4Address> management_peer_;
 
   std::deque<Job> queue_;  // FIFO across both buffers (one CPU services both)

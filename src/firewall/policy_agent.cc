@@ -1,6 +1,9 @@
 #include "firewall/policy_agent.h"
 
 #include <charconv>
+#include <optional>
+#include <string_view>
+#include <utility>
 
 #include "util/heap_bytes.h"
 #include "util/logging.h"
@@ -90,60 +93,59 @@ void PolicyAgent::on_message(const PolicyMessage& msg) {
   }
 }
 
-void PolicyAgent::apply_policy(const std::string& body) {
-  // Body: "version <n>\n" followed by policy text; "vpgkey <id> <hex>"
-  // lines carry VPG key material and are stripped before parsing.
+namespace {
+
+// Splits the first line, without its newline, off `rest`.
+std::string_view take_line(std::string_view& rest) {
+  const std::size_t nl = rest.find('\n');
+  const std::string_view line = rest.substr(0, nl);
+  rest.remove_prefix(nl == std::string_view::npos ? rest.size() : nl + 1);
+  return line;
+}
+
+// "vpgkey <id> <64 hex digits>" without its keyword.
+std::optional<std::pair<std::uint32_t, std::vector<std::uint8_t>>> parse_key_line(
+    std::string_view rest) {
+  const auto space = rest.find(' ');
+  if (space == std::string_view::npos) return std::nullopt;
+  std::uint32_t id = 0;
+  if (std::from_chars(rest.data(), rest.data() + space, id).ec != std::errc()) {
+    return std::nullopt;
+  }
+  auto key = parse_hex(rest.substr(space + 1));
+  if (!key || key->size() != 32) return std::nullopt;
+  return std::pair{id, std::move(*key)};
+}
+
+}  // namespace
+
+void PolicyAgent::apply_policy(std::string_view body) {
+  // Body: a "version <n>" line, one "vpgkey <id> <hex>" line per VPG key,
+  // then the policy text, which is parsed where it lies (its error line
+  // numbers count from its own first line).
   std::uint64_t version = 0;
-  std::string policy_text;
   std::vector<std::pair<std::uint32_t, std::vector<std::uint8_t>>> keys;
-
-  std::size_t pos = 0;
-  bool ok = true;
-  while (pos < body.size()) {
-    const auto nl = body.find('\n', pos);
-    const std::string_view line(body.data() + pos,
-                                (nl == std::string::npos ? body.size() : nl) - pos);
-    pos = nl == std::string::npos ? body.size() : nl + 1;
-
-    if (line.starts_with("version ")) {
-      const auto num = line.substr(8);
-      if (std::from_chars(num.data(), num.data() + num.size(), version).ec !=
-          std::errc()) {
-        ok = false;
-      }
-    } else if (line.starts_with("vpgkey ")) {
-      std::uint32_t id = 0;
-      const auto rest = line.substr(7);
-      const auto space = rest.find(' ');
-      if (space == std::string_view::npos) {
-        ok = false;
-        continue;
-      }
-      const auto id_text = rest.substr(0, space);
-      if (std::from_chars(id_text.data(), id_text.data() + id_text.size(), id).ec !=
-          std::errc()) {
-        ok = false;
-        continue;
-      }
-      auto key_bytes = parse_hex(rest.substr(space + 1));
-      if (!key_bytes || key_bytes->size() != 32) {
-        ok = false;
-        continue;
-      }
-      keys.emplace_back(id, std::move(*key_bytes));
-    } else {
-      policy_text.append(line);
-      policy_text.push_back('\n');
-    }
+  const std::string_view version_line = take_line(body);
+  bool ok = version_line.starts_with("version ") &&
+            std::from_chars(version_line.data() + 8,
+                            version_line.data() + version_line.size(), version)
+                    .ec == std::errc();
+  while (ok && body.starts_with("vpgkey ")) {
+    auto key = parse_key_line(take_line(body).substr(7));
+    ok = key.has_value();
+    if (ok) keys.push_back(std::move(*key));
+  }
+  if (!ok) {
+    ++stats_.policy_errors;
+    BARB_WARN("%s agent: malformed policy header", host_.name().c_str());
+    return;
   }
 
-  auto parsed = parse_policy(policy_text);
-  if (!ok || !parsed.ok()) {
+  auto parsed = parse_policy(body);
+  if (!parsed.ok()) {
     ++stats_.policy_errors;
-    if (parsed.error) {
-      BARB_WARN("%s agent: policy parse error line %d: %s", host_.name().c_str(),
-                parsed.error->line, parsed.error->message.c_str());
-    }
+    BARB_WARN("%s agent: policy parse error line %d: %s", host_.name().c_str(),
+              parsed.error->line, parsed.error->message.c_str());
     return;
   }
 

@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "firewall/nic_firewall.h"
@@ -47,7 +48,7 @@ class PolicyAgent {
  private:
   void connect();
   void on_message(const PolicyMessage& msg);
-  void apply_policy(const std::string& body);
+  void apply_policy(std::string_view body);
   void send(PolicyMsgType type, std::string body);
   void schedule_heartbeat();
 

@@ -27,7 +27,7 @@ namespace barb::firewall {
 
 enum class PolicyMsgType : std::uint8_t {
   kHello = 1,         // agent -> server: "host <ip>"
-  kPolicyUpdate = 2,  // server -> agent: "version <n>\n<policy text + vpgkey lines>"
+  kPolicyUpdate = 2,  // server -> agent: "version <n>\n<vpgkey lines><policy text>"
   kAck = 3,           // agent -> server: "version <n>"
   kHeartbeat = 4,     // agent -> server: "status <ok|locked> processed <n>"
   kRestart = 5,       // server -> agent: restart the firewall card

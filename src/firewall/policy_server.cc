@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <charconv>
 #include <string_view>
+#include <utility>
 
 #include "util/byte_io.h"
 #include "util/heap_bytes.h"
@@ -192,11 +193,11 @@ void PolicyServer::command_restart(net::Ipv4Address agent) {
 std::string PolicyServer::render_policy_body(net::Ipv4Address agent) {
   const auto& entry = policies_[agent];
   std::string body = "version " + std::to_string(entry.version) + "\n";
-  if (entry.text) body += *entry.text;
-  if (!body.ends_with('\n')) body += "\n";
   for (const auto& k : entry.keys) {
     body += "vpgkey " + std::to_string(k.vpg_id) + " " + to_hex(k.master_key) + "\n";
   }
+  if (entry.text) body += *entry.text;
+  if (!body.ends_with('\n')) body += "\n";
   return body;
 }
 
@@ -231,13 +232,14 @@ void PolicyServer::handle_message(Session& session, const PolicyMessage& msg) {
       if (!ip) return;
       session.identified = true;
       session.agent = *ip;
-      // Adopt the session (replacing any stale one).
-      for (auto& p : pending_) {
-        if (p.get() == &session) {
-          sessions_[*ip] = p;
-          std::erase(pending_, p);
-          break;
-        }
+      // Adopt the session. One it replaces is stale (the agent reconnected
+      // through a half-open connection): close it at both ends.
+      const auto it = std::ranges::find_if(
+          pending_, [&session](const auto& p) { return p.get() == &session; });
+      if (it != pending_.end()) {
+        const std::shared_ptr<Session> stale = std::exchange(sessions_[*ip], *it);
+        pending_.erase(it);
+        if (stale) stale->conn->abort();
       }
       auto& status = agents_[*ip];
       status.connected = true;

@@ -1,11 +1,11 @@
-// Shared fleet address directory.
+// Shared address directory.
 //
-// The 4-host testbed gives every host its own full-mesh ArpTable — O(N) maps
-// of O(N) entries, fine for four hosts, quadratic for a thousand. A fleet
-// topology instead builds one immutable AddressDirectory (all host IP→MAC
-// bindings, MACs interned, entries sorted by IP for binary search) and every
-// host's ArpTable falls back to it: per-fleet memory is O(N) total, eight
-// bytes per host entry, and hosts keep their private table for overrides.
+// A full mesh of per-host ArpTables is O(N) maps of O(N) entries: fine for
+// four hosts, quadratic for a thousand. Every fabric TopologyBuilder builds —
+// the 4-host testbed included — instead holds one immutable AddressDirectory
+// (all host IP→MAC bindings, sorted by IP for binary search) and every host's
+// ArpTable falls back to it: memory is O(N) for the whole fabric, twelve
+// bytes per host, and hosts keep their private table for overrides.
 //
 // The directory is frozen before traffic starts (freeze() sorts the entries);
 // lookups on an unfrozen directory are a bug, not a race — the simulator is
@@ -14,11 +14,9 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <vector>
 
-#include "net/intern.h"
 #include "net/ipv4_address.h"
 #include "net/mac_address.h"
 #include "util/assert.h"
@@ -29,7 +27,7 @@ class AddressDirectory {
  public:
   void add(net::Ipv4Address ip, net::MacAddress mac) {
     BARB_ASSERT_MSG(!frozen_, "directory is immutable after freeze()");
-    entries_.push_back(Entry{ip.value(), macs_.intern(mac)});
+    entries_.push_back(Entry{ip.value(), mac});
   }
 
   // Sorts the index; the directory is immutable (and lookup-ready) after.
@@ -46,25 +44,22 @@ class AddressDirectory {
         entries_.begin(), entries_.end(), key,
         [](const Entry& e, std::uint32_t k) { return e.ip < k; });
     if (it == entries_.end() || it->ip != key) return std::nullopt;
-    return macs_.get(it->mac);
+    return it->mac;
   }
 
   std::size_t size() const { return entries_.size(); }
   bool frozen() const { return frozen_; }
 
-  // Total heap footprint of the shared directory (entries + interned MACs).
-  std::size_t memory_bytes() const {
-    return entries_.capacity() * sizeof(Entry) + macs_.memory_bytes();
-  }
+  // Total heap footprint of the shared directory.
+  std::size_t memory_bytes() const { return entries_.capacity() * sizeof(Entry); }
 
  private:
   struct Entry {
     std::uint32_t ip;
-    net::InternHandle mac;
+    net::MacAddress mac;
   };
 
   std::vector<Entry> entries_;
-  net::MacInterner macs_;
   bool frozen_ = false;
 };
 

@@ -1,11 +1,8 @@
 // Static ARP table.
 //
-// The testbed is one switched subnet; the testbed builder installs every
-// host's mapping up front (the paper's results do not depend on ARP
-// dynamics, and a resolution protocol would only add noise to the
-// measurements).
-//
-// Fleet topologies do not replicate the full mesh into every host: the
+// Every mapping is installed up front (the paper's results do not depend on
+// ARP dynamics, and a resolution protocol would only add noise to the
+// measurements). Fabrics do not replicate a full mesh into every host: the
 // TopologyBuilder installs one shared AddressDirectory (see
 // stack/address_directory.h) and each host's table consults it when the
 // private map misses. Private entries added with add() win over the

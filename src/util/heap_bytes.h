@@ -12,7 +12,6 @@
 #include <cstddef>
 #include <deque>
 #include <functional>
-#include <list>
 #include <map>
 #include <string>
 #include <unordered_map>
@@ -52,12 +51,6 @@ std::size_t heap_bytes(const std::unordered_map<K, V, H, E, A>& m) {
   const std::size_t node = sizeof(std::pair<const K, V>) + 2 * sizeof(void*);
   const std::size_t buckets = m.bucket_count() > 1 ? m.bucket_count() * sizeof(void*) : 0;
   return m.size() * node + buckets;
-}
-
-// Doubly linked list: one node per element (two links + the padded value).
-template <typename T, typename A>
-std::size_t heap_bytes(const std::list<T, A>& l) {
-  return l.size() * (2 * sizeof(void*) + std::max(sizeof(T), sizeof(void*)));
 }
 
 // Red-black tree: one node per entry (value + colour + three links).

@@ -98,6 +98,8 @@ std::unique_ptr<Fabric> build_and_run(sim::Simulation& sim, const LeafSpineSpec&
 struct Measured {
   std::int64_t counted = 0;
   MemoryAudit audit;
+  std::uint64_t screened = 0;         // frames the cards' FloodGuards screened
+  std::size_t tracked_sources = 0;    // sources they hold
 };
 
 Measured measure(const LeafSpineSpec& spec, Step step) {
@@ -115,6 +117,12 @@ Measured measure(const LeafSpineSpec& spec, Step step) {
   Measured m;
   m.counted = g_live_bytes - before;
   m.audit = fabric->memory_audit();
+  for (int i = 0; i < fabric->num_hosts(); ++i) {
+    if (const firewall::FloodGuard* guard = fabric->firewall(i)->flood_guard()) {
+      m.screened += guard->stats().screened;
+      m.tracked_sources += guard->tracked_sources();
+    }
+  }
   return m;
 }
 
@@ -147,6 +155,15 @@ TEST(MemoryAudit, MatchesCountedAllocations) {
     const auto m = measure(adf_fleet(kHosts, firewall::MatchBackend::kLinearStateful),
                            Step::kOneAllowedFlow);
     expect_within_15_percent(m);
+  }
+  {
+    SCOPED_TRACE("ADF with FloodGuard, every card screened one frame");
+    LeafSpineSpec spec = adf_fleet(kHosts, firewall::MatchBackend::kLinear);
+    spec.default_nic.flood_guard = firewall::FloodGuardConfig{};
+    const auto m = measure(spec, Step::kClassifyOneFrame);
+    expect_within_15_percent(m);
+    EXPECT_EQ(m.screened, static_cast<std::uint64_t>(kHosts));
+    EXPECT_EQ(m.tracked_sources, static_cast<std::size_t>(kHosts));
   }
 }
 

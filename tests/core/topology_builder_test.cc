@@ -230,8 +230,16 @@ TEST(TopologyBuilder, TestbedPresetKeepsLegacyWiring) {
   EXPECT_EQ(&testbed.policy_host(), &fabric.host(0));
   EXPECT_EQ(&testbed.target(), &fabric.host(3));
   EXPECT_EQ(testbed.target_firewall(), fabric.firewall(3));
-  // The preset keeps the legacy full-mesh ARP: no shared directory.
-  EXPECT_EQ(fabric.directory(), nullptr);
+  // The preset resolves through the shared directory like every fleet: a
+  // host's private ARP table holds only its own binding.
+  ASSERT_NE(fabric.directory(), nullptr);
+  EXPECT_TRUE(fabric.directory()->frozen());
+  EXPECT_EQ(fabric.directory()->size(), 4u);
+  for (int i = 0; i < fabric.num_hosts(); ++i) {
+    EXPECT_EQ(fabric.host(i).arp().size(), 1u);
+    EXPECT_EQ(fabric.host(i).arp().directory(), fabric.directory());
+  }
+  EXPECT_EQ(fabric.directory()->lookup(testbed.addresses().target), testbed.target().mac());
   // The testbed switch keeps the classic learning/flooding behaviour.
   EXPECT_TRUE(testbed.ethernet_switch().config().learning);
   EXPECT_TRUE(testbed.ethernet_switch().config().flood_unknown);

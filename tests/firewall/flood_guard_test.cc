@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include "core/experiments.h"
+#include "firewall/nic_firewall.h"
 #include "net/packet_builder.h"
+#include "telemetry/registry.h"
 
 namespace barb::firewall {
 namespace {
@@ -21,7 +23,6 @@ net::FrameView view_from(std::vector<std::uint8_t>& storage, net::Ipv4Address sr
 
 FloodGuardConfig small_config() {
   FloodGuardConfig cfg;
-  cfg.enabled = true;
   cfg.per_source_rate = 100;
   cfg.per_source_burst = 10;
   cfg.aggregate_rate = 1000;
@@ -30,14 +31,30 @@ FloodGuardConfig small_config() {
   return cfg;
 }
 
-TEST(FloodGuard, DisabledAdmitsEverything) {
-  FloodGuard guard{FloodGuardConfig{}};
-  std::vector<std::uint8_t> storage;
-  const auto v = view_from(storage, net::Ipv4Address(10, 0, 0, 1));
-  for (int i = 0; i < 1000; ++i) {
-    EXPECT_TRUE(guard.admit(v, sim::TimePoint::origin()));
-  }
-  EXPECT_EQ(guard.stats().screened, 0u);
+// A card built without a guard holds none and registers no guard.* metric;
+// one with a guard pays for the object, and its table stays empty until a
+// source is admitted.
+TEST(FloodGuard, OnlyAGuardedCardHoldsAGuard) {
+  sim::Simulation sim(1);
+  FirewallNic plain(sim, net::MacAddress::from_host_id(40), "plain", efw_profile());
+  FirewallNic guarded(sim, net::MacAddress::from_host_id(41), "guarded", efw_profile());
+  guarded.enable_flood_guard(FloodGuardConfig{});
+  EXPECT_EQ(plain.flood_guard(), nullptr);
+  ASSERT_NE(guarded.flood_guard(), nullptr);
+  EXPECT_EQ(guarded.flood_guard()->memory_bytes(), 0u);
+  EXPECT_EQ(guarded.memory_bytes(), plain.memory_bytes() + sizeof(FloodGuard));
+
+  telemetry::MetricRegistry registry;
+  plain.register_metrics(registry, "card=plain");
+  guarded.register_metrics(registry, "card=guarded");
+  std::size_t plain_guard_metrics = 0;
+  std::size_t guarded_guard_metrics = 0;
+  registry.for_each([&](const telemetry::MetricRegistry::Entry& e) {
+    if (!e.id.name.starts_with("guard.")) return;
+    ++(e.id.labels == "card=plain" ? plain_guard_metrics : guarded_guard_metrics);
+  });
+  EXPECT_EQ(plain_guard_metrics, 0u);
+  EXPECT_EQ(guarded_guard_metrics, 8u);
 }
 
 TEST(FloodGuard, PerSourceBurstThenRate) {

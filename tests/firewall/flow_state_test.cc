@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include "core/experiments.h"
+#include "sim/random.h"
+#include "testutil/reference_lru.h"
 
 namespace barb::firewall {
 namespace {
@@ -98,7 +100,7 @@ TEST(FlowState, AllocatesSlotsOnFirstInsert) {
   EXPECT_EQ(table.memory_bytes(), 0u);
 
   table.insert(tuple(1000), t0);
-  // The slot array plus one interned tuple and its LRU node.
+  // The slot array plus one flow node.
   const std::size_t slot_bytes = table.slot_count() * sizeof(std::uint32_t);
   EXPECT_EQ(table.slot_count(), 16u);
   EXPECT_GT(table.memory_bytes(), slot_bytes);
@@ -122,6 +124,113 @@ TEST(FlowState, AllocatesSlotsOnFirstInsert) {
   EXPECT_GT(table.stats().evictions, 4000u);
   EXPECT_EQ(table.memory_bytes(), full);
   EXPECT_LT(full, slot_bytes + 4 * 64);
+}
+
+// FlowStateTable's logic over the reference LRU table.
+class ReferenceFlowState {
+ public:
+  explicit ReferenceFlowState(FlowStateConfig config)
+      : config_(config), flows_(config.max_entries) {}
+
+  bool lookup(const net::FiveTuple& tuple, sim::TimePoint now) {
+    const net::FiveTuple key = canonical(tuple);
+    sim::TimePoint* last_seen = flows_.find(key);
+    if (last_seen == nullptr) {
+      ++stats.misses;
+      return false;
+    }
+    if (now - *last_seen == config_.idle_timeout) ++lookups_at_timeout;
+    if (now - *last_seen > config_.idle_timeout) {
+      flows_.erase(key);
+      ++stats.expirations;
+      ++stats.misses;
+      return false;
+    }
+    *last_seen = now;
+    ++stats.hits;
+    return true;
+  }
+
+  void insert(const net::FiveTuple& tuple, sim::TimePoint now) {
+    const net::FiveTuple key = canonical(tuple);
+    if (sim::TimePoint* last_seen = flows_.find(key)) {
+      *last_seen = now;
+      return;
+    }
+    if (flows_.insert(key, now)) ++stats.evictions;
+    ++stats.inserts;
+  }
+
+  void clear() { flows_.clear(); }
+  std::size_t size() const { return flows_.size(); }
+
+  FlowStateStats stats;
+  std::uint64_t lookups_at_timeout = 0;  // idle for exactly idle_timeout
+
+ private:
+  static net::FiveTuple canonical(const net::FiveTuple& t) {
+    const bool ordered = t.src.value() < t.dst.value() ||
+                         (t.src == t.dst && t.src_port <= t.dst_port);
+    return ordered ? t : t.reversed();
+  }
+
+  FlowStateConfig config_;
+  testutil::reference::LruTable<net::FiveTuple, sim::TimePoint> flows_;
+};
+
+void expect_same_stats(const FlowStateStats& got, const FlowStateStats& want, int op) {
+  ASSERT_EQ(got.hits, want.hits) << "op " << op;
+  ASSERT_EQ(got.misses, want.misses) << "op " << op;
+  ASSERT_EQ(got.inserts, want.inserts) << "op " << op;
+  ASSERT_EQ(got.evictions, want.evictions) << "op " << op;
+  ASSERT_EQ(got.expirations, want.expirations) << "op " << op;
+}
+
+// Seeded differential against the reference: both directions of each flow,
+// whole-second clock steps so lookups land exactly on the idle timeout as
+// well as either side of it, bounds below and above the 272 canonical flows.
+TEST(FlowState, MatchesReferenceModel) {
+  std::uint64_t hits = 0;
+  std::uint64_t expirations = 0;
+  std::uint64_t lookups_at_timeout = 0;
+  for (const std::size_t bound : {1, 4, 64, 1024}) {
+    SCOPED_TRACE(testing::Message() << "max_entries " << bound);
+    FlowStateConfig cfg;
+    cfg.max_entries = bound;
+    cfg.idle_timeout = sim::Duration::seconds(10);
+    FlowStateTable table(cfg);
+    ReferenceFlowState model(cfg);
+    sim::Random rng(bound);
+    sim::TimePoint now = sim::TimePoint::origin();
+    for (int op = 0; op < 100000; ++op) {
+      if (rng.uniform(64) == 0) now = now + sim::Duration::seconds(rng.uniform(4));
+      net::FiveTuple t;
+      t.src = net::Ipv4Address(10, 0, 0, static_cast<std::uint8_t>(1 + rng.uniform(4)));
+      t.dst = net::Ipv4Address(10, 0, 0, static_cast<std::uint8_t>(1 + rng.uniform(4)));
+      t.src_port = static_cast<std::uint16_t>(1000 + rng.uniform(4));
+      t.dst_port = static_cast<std::uint16_t>(1000 + rng.uniform(4));
+      t.protocol = rng.uniform(2) == 0 ? 6 : 17;
+      const std::uint64_t pick = rng.uniform(1000);
+      if (pick < 700) {
+        ASSERT_EQ(table.lookup(t, now), model.lookup(t, now)) << "op " << op;
+      } else if (pick < 999) {
+        table.insert(t, now);
+        model.insert(t, now);
+      } else {
+        table.clear();
+        model.clear();
+      }
+      ASSERT_EQ(table.size(), model.size()) << "op " << op;
+      expect_same_stats(table.stats(), model.stats, op);
+    }
+    hits += table.stats().hits;
+    expirations += table.stats().expirations;
+    lookups_at_timeout += model.lookups_at_timeout;
+  }
+  // The small bounds evict before anything idles out; the large ones expire.
+  EXPECT_GT(hits, 0u);
+  EXPECT_GT(expirations, 0u);
+  EXPECT_GT(lookups_at_timeout, 0u);
 }
 
 // Integration: an EFW on the stateful backend erases the depth penalty for

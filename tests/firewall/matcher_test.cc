@@ -83,20 +83,21 @@ TEST(Matcher, FloodGuardSizingPaysTheStateProbe) {
                     with_backend(profile, backend));
     nic.install_rule_set(depth64_policy());
     nic.enable_flood_guard(guard);
+    ASSERT_NE(nic.flood_guard(), nullptr);
 
     sim::Duration frame = profile.arrival_overhead + profile.fixed + profile.per_byte * 60 +
                           profile.per_rule * 64;
     if (backend == MatchBackend::kLinearStateful) frame += profile.state_lookup;
     const double capacity = 1.0 / frame.to_seconds();
-    EXPECT_DOUBLE_EQ(nic.flood_guard().effective_aggregate_rate(),
+    EXPECT_DOUBLE_EQ(nic.flood_guard()->effective_aggregate_rate(),
                      capacity * guard.aggregate_capacity_share);
-    EXPECT_DOUBLE_EQ(nic.flood_guard().effective_per_source_rate(),
+    EXPECT_DOUBLE_EQ(nic.flood_guard()->effective_per_source_rate(),
                      capacity * guard.per_source_capacity_share);
     // The readings: 124.88 us per stateless frame, 125.88 us per stateful one.
     const bool stateful = backend == MatchBackend::kLinearStateful;
-    EXPECT_NEAR(nic.flood_guard().effective_aggregate_rate(), stateful ? 6752.5 : 6806.5,
+    EXPECT_NEAR(nic.flood_guard()->effective_aggregate_rate(), stateful ? 6752.5 : 6806.5,
                 0.05);
-    EXPECT_NEAR(nic.flood_guard().effective_per_source_rate(),
+    EXPECT_NEAR(nic.flood_guard()->effective_per_source_rate(),
                 stateful ? 4369.2 : 4404.2, 0.05);
   }
 }

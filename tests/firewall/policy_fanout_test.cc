@@ -4,11 +4,13 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "core/topology.h"
 #include "firewall/policy_agent.h"
 #include "firewall/policy_server.h"
+#include "stack/tcp.h"
 #include "telemetry/registry.h"
 
 namespace barb::firewall {
@@ -237,7 +239,10 @@ TEST(PolicyFanout, PolicyLargerThanSendBufferArrives) {
 
 // One host enrolls twice; the second hello adopts the newer session.
 // Closing the stale one must leave the live one connected and pushable.
+// A second hello from the same agent replaces its session: the server
+// closes the stale connection at both ends and keeps the live one.
 TEST(PolicyFanout, ClosingStaleSessionKeepsLiveOne) {
+  const std::int64_t connections_before = stack::TcpConnection::live_instances();
   Fleet fleet(0, /*raw_hosts=*/1);
   stack::Host& raw = fleet.fabric->host(1);
   const net::Ipv4Address server_ip = fleet.fabric->host(kServerHost).ip();
@@ -254,6 +259,9 @@ TEST(PolicyFanout, ClosingStaleSessionKeepsLiveOne) {
   auto stale = raw.tcp_connect(server_ip, PolicyServer::kDefaultPort);
   hello_on(stale);
   fleet.sim.run_for(sim::Duration::milliseconds(100));
+  ASSERT_EQ(fleet.server->count_connected(), 1u);
+  const std::size_t one_session = fleet.server->memory_bytes();
+
   auto live = raw.tcp_connect(server_ip, PolicyServer::kDefaultPort);
   hello_on(live);
   PolicyMessageReader reader;
@@ -264,12 +272,14 @@ TEST(PolicyFanout, ClosingStaleSessionKeepsLiveOne) {
   };
   fleet.sim.run_for(sim::Duration::milliseconds(100));
   ASSERT_EQ(fleet.server->stats().hellos, 2u);
-  ASSERT_EQ(fleet.server->count_connected(), 1u);
-
-  stale->abort();
-  fleet.sim.run_for(sim::Duration::milliseconds(100));
-  ASSERT_EQ(live->state(), stack::TcpState::kEstablished);
   EXPECT_EQ(fleet.server->count_connected(), 1u);
+  EXPECT_EQ(fleet.server->memory_bytes(), one_session);
+  // The server reset the stale connection: closed here, and gone there, so
+  // only the two ends of the live one remain.
+  EXPECT_EQ(stale->state(), stack::TcpState::kClosed);
+  ASSERT_EQ(live->state(), stack::TcpState::kEstablished);
+  stale.reset();
+  EXPECT_EQ(stack::TcpConnection::live_instances(), connections_before + 2);
 
   fleet.server->set_policy(raw.ip(), "default allow\n");
   EXPECT_EQ(fleet.server->stats().pushes, 1u);
@@ -278,6 +288,76 @@ TEST(PolicyFanout, ClosingStaleSessionKeepsLiveOne) {
   EXPECT_EQ(received[0].type, PolicyMsgType::kPolicyUpdate);
   EXPECT_EQ(received[0].body, "version 1\ndefault allow\n");
   live->reset_callbacks();
+}
+
+// The VPG key lines come before the policy text; an agent installs both.
+TEST(PolicyFanout, PushWithVpgKeysInstallsRulesAndKeys) {
+  Fleet fleet(2);
+  const std::string text = "default deny\nallow tcp from any to any\nvpg 7 between " +
+                           fleet.agent_ips[0].to_string() + " and " +
+                           fleet.agent_ips[1].to_string() + "\n";
+  fleet.server->set_policy_all(fleet.agent_ips, text);
+  fleet.server->create_vpg(7, fleet.agent_ips[0], fleet.agent_ips[1]);
+  fleet.sim.run_for(sim::Duration::seconds(2));
+  ASSERT_EQ(fleet.server->count_acked_at_least(2), 2u);
+  for (int i = 1; i <= 2; ++i) {
+    EXPECT_EQ(fleet.agents[static_cast<std::size_t>(i - 1)]->stats().policy_errors, 0u);
+    EXPECT_EQ(fleet.fabric->firewall(i)->rule_set().size(), 2u);
+    EXPECT_TRUE(fleet.fabric->firewall(i)->vpg_table().has(7));
+  }
+}
+
+// A policy server stand-in on host 1 pushes one hand-written body to an
+// agent on host 2, and collects the agent's acks.
+struct ScriptedPush {
+  Fleet fleet{0, /*raw_hosts=*/2};
+  std::shared_ptr<stack::TcpConnection> conn;
+  PolicyMessageReader reader;
+  std::size_t acks = 0;
+  std::unique_ptr<PolicyAgent> agent;
+
+  explicit ScriptedPush(const std::string& body) {
+    stack::Host& server = fleet.fabric->host(1);
+    server.tcp_listen(PolicyServer::kDefaultPort,
+                      [this, body](std::shared_ptr<stack::TcpConnection> c) {
+                        conn = c;
+                        conn->on_data = [this](std::span<const std::uint8_t> data) {
+                          reader.append(data);
+                          while (auto msg = reader.next(fleet.key)) {
+                            acks += msg->type == PolicyMsgType::kAck ? 1 : 0;
+                          }
+                        };
+                        conn->send(encode_policy_message(
+                            PolicyMessage{PolicyMsgType::kPolicyUpdate, 1, body}, fleet.key));
+                      });
+    agent = std::make_unique<PolicyAgent>(fleet.fabric->host(2), *fleet.fabric->firewall(2),
+                                          server.ip(), fleet.key);
+    agent->start();
+    fleet.sim.run_for(sim::Duration::milliseconds(200));
+  }
+  ~ScriptedPush() {
+    if (conn) conn->reset_callbacks();
+  }
+};
+
+TEST(PolicyFanout, MalformedVpgKeyHeaderIsRefused) {
+  ScriptedPush push("version 1\nvpgkey 7 abcd\ndefault deny\nallow tcp from any to any\n");
+  EXPECT_EQ(push.agent->stats().policy_errors, 1u);
+  EXPECT_EQ(push.agent->stats().policies_applied, 0u);
+  EXPECT_EQ(push.acks, 0u);
+  EXPECT_EQ(push.fleet.fabric->firewall(2)->rule_set().size(), 0u);
+  EXPECT_FALSE(push.fleet.fabric->firewall(2)->vpg_table().has(7));
+}
+
+// Only the body's first line carries the version; one inside the policy text
+// is a parse error, not an override.
+TEST(PolicyFanout, VersionLineInsideTheTextIsRefused) {
+  ScriptedPush push("version 1\ndefault deny\nversion 9\nallow tcp from any to any\n");
+  EXPECT_EQ(push.agent->stats().policy_errors, 1u);
+  EXPECT_EQ(push.agent->stats().policies_applied, 0u);
+  EXPECT_EQ(push.agent->stats().last_version, 0u);
+  EXPECT_EQ(push.acks, 0u);
+  EXPECT_EQ(push.fleet.fabric->firewall(2)->rule_set().size(), 0u);
 }
 
 // A fleet push keeps one copy of the text at the server, and an agent that

@@ -685,11 +685,7 @@ Scenario generate_scenario(std::uint64_t seed) {
   s.testbed.deny_attacker_first = rng.bernoulli(0.25);
   if (s.testbed.firewall == core::FirewallKind::kEfw ||
       s.testbed.firewall == core::FirewallKind::kAdf) {
-    if (rng.bernoulli(0.25)) {
-      firewall::FloodGuardConfig fg;
-      fg.enabled = true;
-      s.testbed.flood_guard = fg;
-    }
+    if (rng.bernoulli(0.25)) s.testbed.flood_guard = firewall::FloodGuardConfig{};
   }
   s.testbed.seed = seed;
   s.testbed.fault_profile = s.faults ? std::optional(s.profile) : std::nullopt;
