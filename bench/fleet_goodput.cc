@@ -20,6 +20,7 @@
 #include <chrono>
 #include <memory>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "apps/flood_generator.h"
@@ -27,8 +28,8 @@
 #include "bench_common.h"
 #include "core/topology.h"
 #include "firewall/policy.h"
-#include "stack/arp_table.h"
 #include "util/assert.h"
+#include "util/heap_bytes.h"
 
 namespace {
 
@@ -174,15 +175,15 @@ FleetResult run_fleet(int hosts, std::uint64_t seed, sim::Duration window) {
   return out;
 }
 
-// What the same fleet's address resolution would cost per host with the
-// legacy full-mesh per-host ARP maps (measured on a real ArpTable populated
-// with N-1 bindings, not a back-of-envelope guess).
+// What the same fleet's address resolution would cost per host with a
+// full-mesh per-host ARP map (measured on a real map populated with N-1
+// bindings, not a back-of-envelope guess).
 std::size_t fullmesh_arp_bytes_per_host(int hosts) {
-  stack::ArpTable table;
+  std::unordered_map<net::Ipv4Address, net::MacAddress> table;
   for (int i = 1; i < hosts; ++i) {
-    table.add(core::fleet_ip(i), core::fleet_mac(i));
+    table[core::fleet_ip(i)] = core::fleet_mac(i);
   }
-  return table.memory_bytes();
+  return util::heap_bytes(table);
 }
 
 }  // namespace

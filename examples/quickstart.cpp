@@ -3,8 +3,8 @@
 //
 //   $ ./quickstart
 //
-// Walks through the core public API: Simulation, Link, Host, FirewallNic,
-// parse_policy, UDP sockets, and TCP connections.
+// Walks through the core public API: Simulation, Link, Host, AddressDirectory,
+// FirewallNic, parse_policy, UDP sockets, and TCP connections.
 #include <cstdio>
 #include <memory>
 
@@ -39,8 +39,15 @@ int main() {
 
   client.nic().attach(wire.a());
   server.nic().attach(wire.b());
-  client.arp().add(server.ip(), server.mac());
-  server.arp().add(client.ip(), client.mac());
+
+  // Address resolution: one frozen directory of every host's binding,
+  // shared by both hosts (TopologyBuilder does this for every fabric).
+  stack::AddressDirectory directory;
+  directory.add(client.ip(), client.mac());
+  directory.add(server.ip(), server.mac());
+  directory.freeze();
+  client.set_directory(&directory);
+  server.set_directory(&directory);
 
   // 4. Write a policy in the DSL and install it on the card.
   const char* policy_text =

@@ -6,6 +6,13 @@
 
 namespace barb::apps {
 
+namespace {
+
+// Source port of an unspoofed flood.
+constexpr std::uint16_t kSourcePort = 40001;
+
+}  // namespace
+
 FloodGenerator::FloodGenerator(stack::Host& attacker, FloodConfig config)
     : attacker_(attacker), config_(config) {
   BARB_ASSERT(config_.rate_pps > 0);
@@ -54,11 +61,11 @@ net::Packet FloodGenerator::craft_packet() {
   net::IpEndpoints ep;
   ep.dst_ip = config_.target;
   ep.src_mac = attacker_.mac();
-  // The victim's MAC comes from the attacker's ARP view of the subnet.
-  const auto dst_mac = attacker_.arp().lookup(config_.target);
+  // The victim's MAC comes from the attacker's address directory.
+  const auto dst_mac = attacker_.resolve(config_.target);
   ep.dst_mac = dst_mac.value_or(net::MacAddress::broadcast());
 
-  std::uint16_t src_port = config_.source_port;
+  std::uint16_t src_port = kSourcePort;
   if (config_.spoof_source) {
     // Random source within the testbed's /8 (never the real attacker).
     ep.src_ip = net::Ipv4Address(10, static_cast<std::uint8_t>(rng.uniform(255) + 1),

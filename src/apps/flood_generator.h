@@ -34,9 +34,9 @@ struct FloodConfig {
   std::size_t frame_size = 60;
   // Source address handling. With spoofing enabled, source IP and port are
   // randomized per packet (the paper notes spoofing lets attack packets
-  // traverse deep into the rule-set).
+  // traverse deep into the rule-set); without it every frame comes from the
+  // attacker's own address and port 40001.
   bool spoof_source = false;
-  std::uint16_t source_port = 40001;
 };
 
 class FloodGenerator {

@@ -10,23 +10,49 @@ namespace barb::core {
 
 namespace {
 
+// Sampling cadence of record_flood_timeline's probe (sim clock).
+constexpr sim::Duration kTimelineInterval = sim::Duration::milliseconds(50);
+
+// Starts the attacker's flood of `flood`'s shape at `rate_pps` against the
+// target's flood port and runs the simulation through the warm-up.
+std::unique_ptr<apps::FloodGenerator> start_flood(Testbed& tb, const FloodSpec& flood,
+                                                  double rate_pps,
+                                                  const MeasurementOptions& options) {
+  apps::FloodConfig fc;
+  fc.target = tb.addresses().target;
+  fc.target_port = kFloodPort;
+  fc.type = flood.type;
+  fc.rate_pps = rate_pps;
+  fc.frame_size = flood.frame_size;
+  fc.spoof_source = flood.spoof_source;
+  auto generator = std::make_unique<apps::FloodGenerator>(tb.attacker(), fc);
+  generator->start();
+  tb.simulation().run_for(options.flood_warmup);
+  return generator;
+}
+
+// One iperf TCP window from client to target, in Mbps. A window that never
+// reports (a fully flooded path) is cancelled and scores 0.
+double run_iperf_window(Testbed& tb, const MeasurementOptions& options) {
+  auto& sim = tb.simulation();
+  apps::IperfClient client(tb.client(), tb.addresses().target);
+  std::optional<double> measured;
+  client.run(apps::IperfClient::Mode::kTcp, options.window,
+             [&](apps::IperfResult r) { measured = r.completed ? r.mbps : 0.0; });
+  sim.run_for(options.window + options.grace);
+  if (!measured) {
+    client.cancel();
+    sim.run_for(sim::Duration::milliseconds(1));
+  }
+  return measured.value_or(0.0);
+}
+
 // Runs `reps` iperf TCP measurements from client to target inside an
 // already-settled testbed and records Mbps per repetition.
 void run_bandwidth_reps(Testbed& tb, const MeasurementOptions& options, Stats& out) {
-  auto& sim = tb.simulation();
   for (int rep = 0; rep < options.repetitions; ++rep) {
-    apps::IperfClient client(tb.client(), tb.addresses().target);
-    std::optional<double> measured;
-    client.run(apps::IperfClient::Mode::kTcp, options.window,
-               [&](apps::IperfResult r) { measured = r.completed ? r.mbps : 0.0; });
-    sim.run_for(options.window + options.grace);
-    if (!measured) {
-      // The measurement could not finish (fully flooded path): score it 0.
-      client.cancel();
-      sim.run_for(sim::Duration::milliseconds(1));
-    }
-    out.add(measured.value_or(0.0));
-    sim.run_for(options.gap);
+    out.add(run_iperf_window(tb, options));
+    tb.simulation().run_for(options.gap);
   }
 }
 
@@ -54,20 +80,10 @@ BandwidthPoint measure_bandwidth_under_flood(const TestbedConfig& config,
   server.start();
   tb.settle();
 
-  apps::FloodConfig fc;
-  fc.target = tb.addresses().target;
-  fc.target_port = kFloodPort;
-  fc.type = flood.type;
-  fc.rate_pps = flood.rate_pps;
-  fc.frame_size = flood.frame_size;
-  fc.spoof_source = flood.spoof_source;
-  apps::FloodGenerator generator(tb.attacker(), fc);
-  generator.start();
-  sim.run_for(options.flood_warmup);
-
+  const auto generator = start_flood(tb, flood, flood.rate_pps, options);
   BandwidthPoint point;
   run_bandwidth_reps(tb, options, point.mbps);
-  generator.stop();
+  generator->stop();
   return point;
 }
 
@@ -85,31 +101,13 @@ MinFloodResult find_min_dos_flood_rate(const TestbedConfig& config,
     server.start();
     tb.settle();
 
-    apps::FloodConfig fc;
-    fc.target = tb.addresses().target;
-    fc.target_port = kFloodPort;
-    fc.type = flood.type;
-    fc.rate_pps = rate;
-    fc.frame_size = flood.frame_size;
-    fc.spoof_source = flood.spoof_source;
-    apps::FloodGenerator generator(tb.attacker(), fc);
-    generator.start();
-    sim.run_for(options.flood_warmup);
-
-    apps::IperfClient client(tb.client(), tb.addresses().target);
-    std::optional<double> measured;
-    client.run(apps::IperfClient::Mode::kTcp, options.window,
-               [&](apps::IperfResult r) { measured = r.completed ? r.mbps : 0.0; });
-    sim.run_for(options.window + options.grace);
-    if (!measured) {
-      client.cancel();
-      sim.run_for(sim::Duration::milliseconds(1));
-    }
+    const auto generator = start_flood(tb, flood, rate, options);
+    const double mbps = run_iperf_window(tb, options);
     ++result.probes;
     if (tb.target_firewall() != nullptr && tb.target_firewall()->locked_up()) {
       result.lockup_observed = true;
     }
-    return measured.value_or(0.0);
+    return mbps;
   };
 
   // Exponential ladder to bracket the DoS rate.
@@ -145,8 +143,7 @@ MinFloodResult find_min_dos_flood_rate(const TestbedConfig& config,
 
 FloodTimeline record_flood_timeline(const TestbedConfig& config,
                                     const FloodSpec& flood,
-                                    const MeasurementOptions& options,
-                                    const FloodTimelineOptions& timeline) {
+                                    const MeasurementOptions& options) {
   // The registry outlives everything it samples: declared first, destroyed
   // last, and only sampled while the simulation below is alive.
   telemetry::MetricRegistry registry;
@@ -180,37 +177,16 @@ FloodTimeline record_flood_timeline(const TestbedConfig& config,
     return mbps;
   });
 
-  telemetry::TimeSeriesProbe probe(sim, registry, timeline.interval);
+  telemetry::TimeSeriesProbe probe(sim, registry, kTimelineInterval);
   probe.start();
 
-  std::optional<apps::FloodGenerator> generator;
-  if (flood.rate_pps > 0) {
-    apps::FloodConfig fc;
-    fc.target = tb.addresses().target;
-    fc.target_port = kFloodPort;
-    fc.type = flood.type;
-    fc.rate_pps = flood.rate_pps;
-    fc.frame_size = flood.frame_size;
-    fc.spoof_source = flood.spoof_source;
-    generator.emplace(tb.attacker(), fc);
-    generator->start();
-    sim.run_for(options.flood_warmup);
-  }
-
-  apps::IperfClient client(tb.client(), tb.addresses().target);
-  std::optional<double> measured;
-  client.run(apps::IperfClient::Mode::kTcp, options.window,
-             [&](apps::IperfResult r) { measured = r.completed ? r.mbps : 0.0; });
-  sim.run_for(options.window + options.grace);
-  if (!measured) {
-    client.cancel();
-    sim.run_for(sim::Duration::milliseconds(1));
-  }
-  if (generator) generator->stop();
-  probe.stop();
+  std::unique_ptr<apps::FloodGenerator> generator;
+  if (flood.rate_pps > 0) generator = start_flood(tb, flood, flood.rate_pps, options);
 
   FloodTimeline result;
-  result.mbps = measured.value_or(0.0);
+  result.mbps = run_iperf_window(tb, options);
+  if (generator) generator->stop();
+  probe.stop();
   result.recording = probe.recording();
   return result;
 }

@@ -78,25 +78,19 @@ MinFloodResult find_min_dos_flood_rate(const TestbedConfig& config,
                                        const MeasurementOptions& options = {},
                                        const MinFloodSearchOptions& search = {});
 
-struct FloodTimelineOptions {
-  // Sampling cadence for the time-series probe (sim clock).
-  sim::Duration interval = sim::Duration::milliseconds(50);
-};
-
 struct FloodTimeline {
   telemetry::ProbeRecording recording;
   double mbps = 0;  // goodput of the accompanying iperf transfer
 };
 
-// One flood + one iperf transfer with every testbed metric sampled on a
-// fixed sim-clock interval: the time-series behind a BENCH_*.json artifact
+// One flood + one iperf transfer with every testbed metric sampled every
+// 50 ms of sim time: the time-series behind a BENCH_*.json artifact
 // (goodput vs. time, firewall drops, queue depths, ...). Deterministic:
 // identical seeds yield identical recordings. A flood rate <= 0 records an
 // attack-free baseline.
 FloodTimeline record_flood_timeline(const TestbedConfig& config,
                                     const FloodSpec& flood,
-                                    const MeasurementOptions& options = {},
-                                    const FloodTimelineOptions& timeline = {});
+                                    const MeasurementOptions& options = {});
 
 struct HttpPoint {
   double fetches_per_sec = 0;

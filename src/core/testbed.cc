@@ -155,11 +155,11 @@ void Testbed::build_hosts() {
 
 void Testbed::install_fault_injectors() {
   if (!config_.fault_profile || !config_.fault_profile->enabled()) return;
-  // Link order matches build_hosts(): policy, attacker, client, target.
+  // Link order matches build_hosts(): policy, attacker, client, target. The
+  // policy link (index 0) stays clean.
   static const char* kNames[] = {"policy", "attacker", "client", "target"};
-  for (std::size_t i = 0; i < static_cast<std::size_t>(fabric_->num_hosts()) && i < 4;
+  for (std::size_t i = 1; i < static_cast<std::size_t>(fabric_->num_hosts()) && i < 4;
        ++i) {
-    if (i == 0 && !config_.fault_policy_link) continue;
     // Each direction gets an independent stream: port index 2i for the
     // host-side transmitter, 2i+1 for the switch side. derive_point_seed is
     // the frozen sweep mix, salted so the streams never collide with the

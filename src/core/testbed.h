@@ -44,11 +44,9 @@ struct TestbedConfig {
   bool use_policy_server = false;
   // Rule-matching backend on the firewall cards: the device under test and,
   // in VPG mode, the client-side ADF. `kLinear` is the calibrated
-  // paper-faithful default; the others are counterfactual profiles
-  // ("linear+stateful", "compiled", "compiled+flowcache"). Applied on top of
-  // profile_override, whose own match_backend must stay kLinear. The
-  // iptables host filter is linear-only: a non-linear backend with
-  // kIptables aborts.
+  // paper-faithful default; the others are counterfactual backends
+  // ("linear+stateful", "compiled", "compiled+flowcache"). The iptables host
+  // filter is linear-only: a non-linear backend with kIptables aborts.
   firewall::MatchBackend match_backend = firewall::MatchBackend::kLinear;
   // Replaces the standard EFW/ADF device profile on the firewall NICs
   // (ablation studies tweak cost-model parameters through this).
@@ -57,14 +55,12 @@ struct TestbedConfig {
   // (the future-work extension; see firewall/flood_guard.h).
   std::optional<firewall::FloodGuardConfig> flood_guard;
   // Fault injection on both directions of the attacker, client, and target
-  // access links (the policy link stays clean unless fault_policy_link is
-  // set, so policy distribution remains reliable by default). Each injected
-  // port gets its own RNG stream derived from `seed` and the port index —
-  // runs replay byte-identically and are --jobs-independent. Disabled
-  // (nullopt, the default) leaves the frame path untouched: zero extra RNG
-  // draws, byte-identical figure artifacts.
+  // access links (the policy link stays clean, so policy distribution
+  // remains reliable). Each injected port gets its own RNG stream derived
+  // from `seed` and the port index — runs replay byte-identically and are
+  // --jobs-independent. Disabled (nullopt, the default) leaves the frame
+  // path untouched: zero extra RNG draws, byte-identical figure artifacts.
   std::optional<link::FaultProfile> fault_profile;
-  bool fault_policy_link = false;
   std::uint64_t seed = 1;
 };
 

@@ -10,6 +10,21 @@
 
 namespace barb::core {
 
+namespace {
+
+// Appended to a card's profile name in its NIC label ("EFW+stateful").
+const char* backend_label_suffix(firewall::MatchBackend backend) {
+  switch (backend) {
+    case firewall::MatchBackend::kLinear: return "";
+    case firewall::MatchBackend::kLinearStateful: return "+stateful";
+    case firewall::MatchBackend::kCompiled: return "+compiled";
+    case firewall::MatchBackend::kCompiledFlowCache: return "+flowcache";
+  }
+  return "";
+}
+
+}  // namespace
+
 const char* to_string(FirewallKind kind) {
   switch (kind) {
     case FirewallKind::kNone: return "No Firewall";
@@ -28,22 +43,15 @@ std::unique_ptr<stack::Nic> make_nic(sim::Simulation& sim, const HostSpec& spec,
     case FirewallKind::kEfw:
     case FirewallKind::kAdf:
     case FirewallKind::kAdfVpg: {
-      auto profile = spec.nic.kind == FirewallKind::kEfw ? firewall::efw_profile()
-                                                         : firewall::adf_profile();
-      if (spec.nic.profile_override) {
-        // NicSpec::backend replaces the override's backend, so one set there
-        // would be silently ignored.
-        BARB_ASSERT_MSG(
-            spec.nic.profile_override->match_backend == firewall::MatchBackend::kLinear,
-            "profile_override must keep the linear backend; set NicSpec::backend "
-            "(TestbedConfig::match_backend) instead");
-        profile = *spec.nic.profile_override;
-      }
-      profile = firewall::with_backend(std::move(profile), spec.nic.backend);
+      auto profile = spec.nic.profile_override ? *spec.nic.profile_override
+                     : spec.nic.kind == FirewallKind::kEfw ? firewall::efw_profile()
+                                                           : firewall::adf_profile();
       const std::string label =
-          spec.nic_label.empty() ? spec.name + "/" + profile.name : spec.nic_label;
-      auto nic = std::make_unique<firewall::FirewallNic>(sim, spec.mac, label,
-                                                         std::move(profile));
+          spec.nic_label.empty()
+              ? spec.name + "/" + profile.name + backend_label_suffix(spec.nic.backend)
+              : spec.nic_label;
+      auto nic = std::make_unique<firewall::FirewallNic>(
+          sim, spec.mac, label, std::move(profile), spec.nic.backend);
       if (spec.nic.flood_guard) nic->enable_flood_guard(*spec.nic.flood_guard);
       if (out_firewall != nullptr) *out_firewall = nic.get();
       return nic;
@@ -93,7 +101,6 @@ MemoryAudit Fabric::memory_audit() const {
   }
   for (std::size_t i = 0; i < hosts_.size(); ++i) {
     stack::Host& host = *hosts_[i];
-    audit.arp_private_bytes += host.arp().memory_bytes();
     audit.host_stack_bytes += host.stack_memory_bytes();
     audit.host_object_bytes += sizeof(stack::Host);
     if (firewalls_[i] != nullptr) {
@@ -130,7 +137,6 @@ void Fabric::register_fleet_metrics(telemetry::MetricRegistry& registry) {
                  [this] { return static_cast<double>(memory_audit().total_bytes()); });
   static constexpr std::pair<const char*, std::size_t MemoryAudit::*> kFields[] = {
       {"mem.directory_bytes", &MemoryAudit::directory_bytes},
-      {"mem.arp_private_bytes", &MemoryAudit::arp_private_bytes},
       {"mem.host_stack_bytes", &MemoryAudit::host_stack_bytes},
       {"mem.firewall_bytes", &MemoryAudit::firewall_bytes},
       {"mem.link_bytes", &MemoryAudit::link_bytes},
@@ -232,7 +238,7 @@ std::unique_ptr<Fabric> TopologyBuilder::build() {
   f.directory_ = std::make_shared<stack::AddressDirectory>();
   for (const auto& h : f.hosts_) f.directory_->add(h->ip(), h->mac());
   f.directory_->freeze();
-  for (const auto& h : f.hosts_) h->arp().set_directory(f.directory_.get());
+  for (const auto& h : f.hosts_) h->set_directory(f.directory_.get());
 
   if (!static_routes_) return std::move(fabric_);
 
@@ -353,30 +359,6 @@ std::unique_ptr<Fabric> build_leaf_spine(sim::Simulation& sim,
       const NicSpec nic =
           spec.nic_for ? spec.nic_for(host_index) : spec.default_nic;
       builder.add_host(fleet_host_spec(spec.name_prefix, host_index, nic), leaf,
-                       spec.access_link);
-      ++host_index;
-    }
-  }
-  return builder.build();
-}
-
-std::unique_ptr<Fabric> build_campus_tree(sim::Simulation& sim,
-                                          const CampusTreeSpec& spec) {
-  BARB_ASSERT(spec.hosts >= 1 && spec.hosts_per_edge >= 1);
-  const int edges = (spec.hosts + spec.hosts_per_edge - 1) / spec.hosts_per_edge;
-
-  TopologyBuilder builder(sim);
-  builder.enable_static_routes();
-  const link::SwitchConfig sw_cfg = fabric_switch_config(spec.hosts);
-  const int core = builder.add_switch("core", sw_cfg);
-  int host_index = 0;
-  for (int e = 0; e < edges; ++e) {
-    const int edge = builder.add_switch("edge" + std::to_string(e), sw_cfg);
-    builder.connect_switches(edge, core, spec.uplink);
-    for (int i = 0; i < spec.hosts_per_edge && host_index < spec.hosts; ++i) {
-      const NicSpec nic =
-          spec.nic_for ? spec.nic_for(host_index) : spec.default_nic;
-      builder.add_host(fleet_host_spec(spec.name_prefix, host_index, nic), edge,
                        spec.access_link);
       ++host_index;
     }

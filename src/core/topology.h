@@ -15,12 +15,12 @@
 //    spine. Redundant paths make L2 flooding a loop storm, so the builder
 //    preloads pinned FIB routes (remote traffic spreads over spines by
 //    destination index), disables learning, and disables unknown flooding.
-//  * campus tree — edge switches under one core switch: the classic
-//    building-distribution shape; loop-free but preloaded all the same.
+//    With one spine it is the campus tree shape (edge switches under one
+//    core), loop-free but preloaded all the same.
 //
-// Address resolution uses one shared AddressDirectory per fabric (O(total
-// hosts) memory) instead of a full mesh of per-host ARP tables (O(hosts^2)),
-// for the Testbed preset as for every fleet.
+// Address resolution has one path: build() freezes one AddressDirectory
+// holding every host's binding (O(total hosts) memory) and hands it to every
+// host, for the Testbed preset as for every fleet.
 #pragma once
 
 #include <cstdint>
@@ -51,8 +51,7 @@ enum class FirewallKind {
 const char* to_string(FirewallKind kind);
 
 // Per-host NIC hardware profile: which firewall model guards the host, with
-// which matching backend and cost-model overrides. `backend` is applied on
-// top of `profile_override`, whose own match_backend must stay kLinear.
+// which matching backend and cost-model overrides.
 struct NicSpec {
   FirewallKind kind = FirewallKind::kNone;
   firewall::MatchBackend backend = firewall::MatchBackend::kLinear;
@@ -67,7 +66,8 @@ struct HostSpec {
   NicSpec nic;
   stack::HostConfig host_config;
   // Metric/trace label of the NIC. Empty derives "<name>/nic" for standard
-  // NICs and "<name>/<profile name>" for firewall NICs.
+  // NICs and "<name>/<profile name>" for firewall NICs, with the backend
+  // appended when it is not linear ("target/EFW+stateful").
   std::string nic_label;
 };
 
@@ -81,10 +81,9 @@ struct HostSpec {
 struct MemoryAudit {
   std::size_t hosts = 0;
   std::size_t directory_bytes = 0;    // shared AddressDirectory (once)
-  std::size_t arp_private_bytes = 0;  // per-host private ARP maps, summed
   std::size_t host_stack_bytes = 0;   // UDP/TCP layers: sockets, connections
-  std::size_t firewall_bytes = 0;     // NIC firewall cards: rules, flow tables,
-                                      // classifier, ring queue
+  std::size_t firewall_bytes = 0;     // NIC firewall cards: rules, the
+                                      // backend's tables, ring queue, guard
   std::size_t link_bytes = 0;         // Link objects and their port FIFOs
   std::size_t switch_fib_bytes = 0;   // bounded FIBs, summed over switches
   std::size_t switch_port_bytes = 0;  // Switch objects, port tables and sinks
@@ -92,9 +91,8 @@ struct MemoryAudit {
   std::size_t fabric_bytes = 0;       // the Fabric and its index tables
 
   std::size_t total_bytes() const {
-    return directory_bytes + arp_private_bytes + host_stack_bytes +
-           firewall_bytes + link_bytes + switch_fib_bytes + switch_port_bytes +
-           host_object_bytes + fabric_bytes;
+    return directory_bytes + host_stack_bytes + firewall_bytes + link_bytes +
+           switch_fib_bytes + switch_port_bytes + host_object_bytes + fabric_bytes;
   }
   std::size_t per_host_bytes() const {
     return hosts == 0 ? 0 : total_bytes() / hosts;
@@ -184,7 +182,8 @@ class TopologyBuilder {
   // trunk choices by destination host index.
   void enable_static_routes() { static_routes_ = true; }
 
-  // Freezes the shared address directory (+ routes) and returns the fabric.
+  // Freezes the shared address directory, hands it to every host, preloads
+  // the routes and returns the fabric.
   std::unique_ptr<Fabric> build();
 
  private:
@@ -227,21 +226,6 @@ struct LeafSpineSpec {
 
 std::unique_ptr<Fabric> build_leaf_spine(sim::Simulation& sim,
                                          const LeafSpineSpec& spec);
-
-struct CampusTreeSpec {
-  int hosts = 64;
-  int hosts_per_edge = 16;  // fanout of each edge switch
-  link::LinkConfig access_link{100e6, sim::Duration::nanoseconds(500),
-                               768 * 1024};
-  link::LinkConfig uplink{1e9, sim::Duration::microseconds(1),
-                          4 * 768 * 1024};
-  NicSpec default_nic;
-  std::function<NicSpec(int host_index)> nic_for;
-  std::string name_prefix = "h";
-};
-
-std::unique_ptr<Fabric> build_campus_tree(sim::Simulation& sim,
-                                          const CampusTreeSpec& spec);
 
 // IP/MAC assignment shared by the presets (host index -> 10.x.y.z / MAC).
 net::Ipv4Address fleet_ip(int host_index);

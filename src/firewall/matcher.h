@@ -1,12 +1,14 @@
 // The card's classification: one rule set behind one configured backend.
 //
 // A Matcher owns everything a frame's verdict depends on — the installed
-// rule set, the compiled classifier, the flow cache and the flow-state table
-// — together with the backend's cost model, so the backend dispatch exists
-// once. Verdicts are the rule set's first-match verdicts on every backend
-// except kLinearStateful, whose state hits allow the established flows
-// (replies included) without consulting the rules. The backends differ in
-// the service time they charge:
+// rule set and whichever of the compiled classifier, the flow cache and the
+// flow-state table its backend uses — together with the backend's cost
+// model, so the backend dispatch exists once. The backend is fixed at
+// construction, and a table its backend never uses is never created: a
+// linear card holds its rule set and nothing else. Verdicts are the rule
+// set's first-match verdicts on every backend except kLinearStateful, whose
+// state hits allow the established flows (replies included) without
+// consulting the rules. The backends differ in the service time they charge:
 //
 //  * kLinear: `per_rule` per rule unit walked;
 //  * kLinearStateful: `state_lookup` per cleartext frame; a miss also walks
@@ -21,6 +23,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <string>
 
@@ -46,10 +49,10 @@ struct MatchPathStats {
 
 class Matcher {
  public:
-  // Takes the backend, its cost constants and the flow-cache capacity from
-  // `profile`. The initial rule set is empty with default allow: an
-  // unconfigured card passes traffic.
-  explicit Matcher(const DeviceProfile& profile);
+  // Runs `backend` with the cost constants and the flow-cache capacity of
+  // `profile`, creating only the tables that backend uses. The initial rule
+  // set is empty with default allow: an unconfigured card passes traffic.
+  Matcher(const DeviceProfile& profile, MatchBackend backend);
 
   // Policy push. Clears the flow-state table; on the compiled backends it
   // also rebuilds the compiled structure and bumps the flow-cache
@@ -75,27 +78,26 @@ class Matcher {
   // it.
   sim::Duration worst_case_cost() const;
 
-  // Registers the "match.*" counters and gauges; compiled backends only, so
-  // the linear backends' metric sets (every paper figure's) stay as they
-  // were before the compiled backends existed.
+  // Registers the "match.*" counters and gauges: the compiled backends'
+  // set, plus the "match.flow_*" block when the flow cache exists. The
+  // linear backends register none, so their metric sets (every paper
+  // figure's) stay as they were before the compiled backends existed.
   void register_metrics(telemetry::MetricRegistry& registry,
                         const std::string& labels);
 
-  // Heap held: rules, compiled classifier and both flow tables.
+  // Heap held: the rules, and each table the backend created (object and
+  // storage).
   std::size_t memory_bytes() const;
 
   MatchBackend backend() const { return backend_; }
   const RuleSet& rules() const { return rules_; }
-  const CompiledClassifier& compiled() const { return compiled_; }
-  const FlowCache& flow_cache() const { return flow_cache_; }
-  const FlowStateTable& flow_states() const { return flow_states_; }
+  // The backend's tables; null where the backend does not use one.
+  const CompiledClassifier* compiled() const { return compiled_.get(); }
+  const FlowCache* flow_cache() const { return flow_cache_.get(); }
+  const FlowStateTable* flow_states() const { return flow_states_.get(); }
   const MatchPathStats& stats() const { return stats_; }
 
  private:
-  bool compiled_backend() const {
-    return backend_ == MatchBackend::kCompiled ||
-           backend_ == MatchBackend::kCompiledFlowCache;
-  }
   // One walk of the backend's structure (the rule list, or the compiled
   // classifier) over a frame or a tuple, charged to *service.
   template <typename Key>
@@ -109,9 +111,9 @@ class Matcher {
   sim::Duration flow_insert_;
 
   RuleSet rules_;
-  CompiledClassifier compiled_;  // compiled backends only
-  FlowCache flow_cache_;         // kCompiledFlowCache only
-  FlowStateTable flow_states_;   // kLinearStateful only
+  std::unique_ptr<CompiledClassifier> compiled_;  // compiled backends only
+  std::unique_ptr<FlowCache> flow_cache_;         // kCompiledFlowCache only
+  std::unique_ptr<FlowStateTable> flow_states_;   // kLinearStateful only
   MatchPathStats stats_;
 };
 

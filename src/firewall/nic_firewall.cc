@@ -8,8 +8,8 @@
 namespace barb::firewall {
 
 FirewallNic::FirewallNic(sim::Simulation& sim, net::MacAddress mac, std::string name,
-                         DeviceProfile profile)
-    : Nic(sim, mac, std::move(name)), profile_(std::move(profile)), matcher_(profile_) {}
+                         DeviceProfile profile, MatchBackend backend)
+    : Nic(sim, mac, std::move(name)), profile_(std::move(profile)), matcher_(profile_, backend) {}
 
 void FirewallNic::restart() {
   // A reset card loses its flow state and cached verdicts (card RAM); the
@@ -288,7 +288,7 @@ void FirewallNic::note_inbound_deny() {
 
 std::size_t FirewallNic::memory_bytes() const {
   return util::heap_bytes(name_) + matcher_.memory_bytes() + util::heap_bytes(queue_) +
-         vpgs_.memory_bytes() + (guard_ ? sizeof(FloodGuard) + guard_->memory_bytes() : 0);
+         vpgs_.memory_bytes() + util::heap_bytes(guard_);
 }
 
 }  // namespace barb::firewall

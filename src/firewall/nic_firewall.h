@@ -39,8 +39,10 @@ struct FirewallNicStats {
 
 class FirewallNic : public stack::Nic {
  public:
+  // `profile` holds the card's costs and buffers; `backend` is the rule
+  // matching it runs, fixed for the card's lifetime.
   FirewallNic(sim::Simulation& sim, net::MacAddress mac, std::string name,
-              DeviceProfile profile);
+              DeviceProfile profile, MatchBackend backend = MatchBackend::kLinear);
 
   // Policy installation (normally via the PolicyAgent). The default policy
   // is an empty rule-set with default-allow, i.e. an unconfigured card.
@@ -72,13 +74,13 @@ class FirewallNic : public stack::Nic {
 
   const DeviceProfile& profile() const { return profile_; }
   const FirewallNicStats& fw_stats() const { return fwstats_; }
-  // The card's classification: rules, compiled structure, flow tables.
+  // The card's classification: its backend, rules and that backend's tables.
   const Matcher& matcher() const { return matcher_; }
   bool locked_up() const { return locked_; }
 
-  // Heap held by the card: the matcher (rules, compiled classifier, both
-  // flow tables), the ring queue, the VPG table and, when configured, the
-  // FloodGuard with its source table.
+  // Heap held by the card: the matcher (rules and its backend's tables), the
+  // ring queue, the VPG table and, when configured, the FloodGuard with its
+  // source table.
   std::size_t memory_bytes() const;
 
   // Registers the card's counters ("fw.*"), queue gauges, a service-time

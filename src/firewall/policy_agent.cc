@@ -10,6 +10,15 @@
 
 namespace barb::firewall {
 
+namespace {
+
+// Card-health report cadence while connected.
+constexpr sim::Duration kHeartbeatInterval = sim::Duration::seconds(1);
+// Wait before redialling the server after a failed or lost connection.
+constexpr sim::Duration kReconnectDelay = sim::Duration::seconds(2);
+
+}  // namespace
+
 PolicyAgent::PolicyAgent(stack::Host& host, FirewallNic& nic, net::Ipv4Address server_ip,
                          std::span<const std::uint8_t> deployment_key,
                          std::uint16_t server_port)
@@ -33,7 +42,7 @@ void PolicyAgent::connect() {
   reader_ = PolicyMessageReader{};
   conn_ = host_.tcp_connect(server_ip_, server_port_);
   if (!conn_) {
-    reconnect_timer_ = host_.simulation().schedule(reconnect_delay, [this] {
+    reconnect_timer_ = host_.simulation().schedule(kReconnectDelay, [this] {
       ++stats_.reconnects;
       connect();
     });
@@ -53,7 +62,7 @@ void PolicyAgent::connect() {
   conn_->on_closed = [this] {
     conn_ = nullptr;
     heartbeat_timer_.cancel();
-    reconnect_timer_ = host_.simulation().schedule(reconnect_delay, [this] {
+    reconnect_timer_ = host_.simulation().schedule(kReconnectDelay, [this] {
       ++stats_.reconnects;
       connect();
     });
@@ -61,7 +70,7 @@ void PolicyAgent::connect() {
 }
 
 void PolicyAgent::schedule_heartbeat() {
-  heartbeat_timer_ = host_.simulation().schedule(heartbeat_interval, [this] {
+  heartbeat_timer_ = host_.simulation().schedule(kHeartbeatInterval, [this] {
     if (!conn_) return;
     std::string body = nic_.locked_up() ? "status locked" : "status ok";
     body += " processed " + std::to_string(nic_.fw_stats().frames_processed);

@@ -42,9 +42,6 @@ class PolicyAgent {
   // Heap held: the deployment key and any partly received message.
   std::size_t memory_bytes() const;
 
-  sim::Duration heartbeat_interval = sim::Duration::seconds(1);
-  sim::Duration reconnect_delay = sim::Duration::seconds(2);
-
  private:
   void connect();
   void on_message(const PolicyMessage& msg);

@@ -119,8 +119,10 @@ struct DeviceProfile {
   // until the agent restarts it. 0 disables the fault.
   std::uint64_t lockup_denies_per_sec = 0;
 
-  // --- Matching backend (ROADMAP item 1 counterfactual) ------------------
-  // The linear backends keep the calibrated per_rule cost above (plus
+  // --- Matching backend costs (counterfactual) ---------------------------
+  // The profile holds each backend's cost constants; which backend a card
+  // runs is the card's own constructor argument (FirewallNic, Matcher). The
+  // linear backends keep the calibrated per_rule cost above (plus
   // state_lookup when stateful); the compiled backends replace the
   // rule-walk term with their own cost model. These are NOT
   // calibrated against hardware (no such firmware existed) — they are
@@ -128,7 +130,6 @@ struct DeviceProfile {
   // node is a word-sized load+compare+branch in card RAM (a fraction of the
   // 1.63 us full rule evaluation), one flow-cache probe is a tuple hash
   // plus a 13-byte key compare.
-  MatchBackend match_backend = MatchBackend::kLinear;
   // Cost per compiled-structure node visited on a classification
   // (binary-search steps + intersection words; CompiledMatch::nodes).
   sim::Duration compiled_node = sim::Duration::nanoseconds(200);
@@ -156,20 +157,6 @@ inline DeviceProfile adf_profile() {
   DeviceProfile p;
   p.name = "ADF";
   p.per_rule = sim::Duration::nanoseconds(2920);
-  return p;
-}
-
-// Derived profile with a non-default matching backend ("EFW+stateful",
-// "EFW+compiled", "EFW+flowcache"). The linear calibration constants stay
-// in place — only the rule-walk term of the cost model is swapped out.
-inline DeviceProfile with_backend(DeviceProfile p, MatchBackend backend) {
-  p.match_backend = backend;
-  switch (backend) {
-    case MatchBackend::kLinear: break;
-    case MatchBackend::kLinearStateful: p.name += "+stateful"; break;
-    case MatchBackend::kCompiled: p.name += "+compiled"; break;
-    case MatchBackend::kCompiledFlowCache: p.name += "+flowcache"; break;
-  }
   return p;
 }
 

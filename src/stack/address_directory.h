@@ -1,11 +1,11 @@
-// Shared address directory.
+// Shared address directory: the only way a host resolves an IP to a MAC.
 //
-// A full mesh of per-host ArpTables is O(N) maps of O(N) entries: fine for
+// A full mesh of per-host ARP maps is O(N) maps of O(N) entries: fine for
 // four hosts, quadratic for a thousand. Every fabric TopologyBuilder builds —
 // the 4-host testbed included — instead holds one immutable AddressDirectory
-// (all host IP→MAC bindings, sorted by IP for binary search) and every host's
-// ArpTable falls back to it: memory is O(N) for the whole fabric, twelve
-// bytes per host, and hosts keep their private table for overrides.
+// (all host IP→MAC bindings, sorted by IP for binary search) and hands it to
+// every host (Host::set_directory): memory is O(N) for the whole fabric,
+// twelve bytes per host.
 //
 // The directory is frozen before traffic starts (freeze() sorts the entries);
 // lookups on an unfrozen directory are a bug, not a race — the simulator is

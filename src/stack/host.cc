@@ -15,6 +15,13 @@
 
 namespace barb::stack {
 
+namespace {
+
+// Linux icmp_ratelimit analogue for destination-unreachable generation.
+constexpr double kIcmpErrorsPerSec = 1.0;
+
+}  // namespace
+
 Host::Host(sim::Simulation& sim, std::string name, net::Ipv4Address ip,
            std::unique_ptr<Nic> nic, HostConfig config)
     : sim_(sim),
@@ -22,15 +29,20 @@ Host::Host(sim::Simulation& sim, std::string name, net::Ipv4Address ip,
       ip_(ip),
       nic_(std::move(nic)),
       config_(config),
-      icmp_error_limiter_(config.icmp_error_rate_per_sec, 1.0) {
+      icmp_error_limiter_(kIcmpErrorsPerSec, 1.0) {
   BARB_ASSERT(nic_ != nullptr);
   nic_->set_host_sink(this);
   udp_ = std::make_unique<UdpLayer>(*this);
   tcp_ = std::make_unique<TcpLayer>(*this);
-  arp_.add(ip_, nic_->mac());
 }
 
 Host::~Host() = default;
+
+void Host::set_directory(const AddressDirectory* directory) {
+  BARB_ASSERT_MSG(directory == nullptr || directory->frozen(),
+                  "freeze() the directory before handing it to a host");
+  directory_ = directory;
+}
 
 void Host::register_metrics(telemetry::MetricRegistry& registry,
                             const std::string& labels) const {
@@ -80,9 +92,9 @@ std::uint16_t Host::allocate_ephemeral_port() {
 }
 
 std::optional<net::IpEndpoints> Host::endpoints_to(net::Ipv4Address dst) const {
-  const auto dst_mac = arp_.lookup(dst);
+  const auto dst_mac = resolve(dst);
   if (!dst_mac) {
-    BARB_DEBUG("%s: no ARP entry for %s", name_.c_str(), dst.to_string().c_str());
+    BARB_DEBUG("%s: no address binding for %s", name_.c_str(), dst.to_string().c_str());
     return std::nullopt;
   }
   net::IpEndpoints ep;

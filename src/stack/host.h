@@ -21,7 +21,7 @@
 #include "net/packet.h"
 #include "net/packet_builder.h"
 #include "sim/simulation.h"
-#include "stack/arp_table.h"
+#include "stack/address_directory.h"
 #include "stack/nic.h"
 #include "stack/packet_filter.h"
 #include "telemetry/registry.h"
@@ -39,10 +39,6 @@ struct HostConfig {
   // Local MSS announced in SYN segments. The testbed lowers this on
   // VPG-protected hosts so encapsulated frames still fit the Ethernet MTU.
   std::uint16_t mss = 1460;
-  // Fixed advertised receive window (no window scaling, as in the paper era).
-  std::uint16_t receive_window = 65535;
-  // Linux icmp_ratelimit analogue for destination-unreachable generation.
-  double icmp_error_rate_per_sec = 1.0;
 };
 
 struct HostStats {
@@ -69,13 +65,24 @@ class Host : public link::FrameSink {
   net::Ipv4Address ip() const { return ip_; }
   net::MacAddress mac() const { return nic_->mac(); }
   Nic& nic() { return *nic_; }
-  ArpTable& arp() { return arp_; }
   const HostConfig& config() const { return config_; }
   const HostStats& stats() const { return stats_; }
 
-  // Heap held by the host outside its NIC and ARP table (which report their
-  // own): the UDP and TCP layers with their sockets and connections, and
-  // the name.
+  // Address resolution. Every mapping is installed up front (the paper's
+  // results do not depend on ARP dynamics): the fabric (or a test fixture)
+  // hands each host one frozen directory of every binding, itself included.
+  // Not owned; it must outlive the host's traffic. A host without a
+  // directory resolves nothing and so sends nothing.
+  void set_directory(const AddressDirectory* directory);
+  const AddressDirectory* directory() const { return directory_; }
+  std::optional<net::MacAddress> resolve(net::Ipv4Address ip) const {
+    if (directory_ == nullptr) return std::nullopt;
+    return directory_->lookup(ip);
+  }
+
+  // Heap held by the host outside its NIC (which reports its own) and the
+  // shared directory (counted once per fabric): the UDP and TCP layers with
+  // their sockets and connections, and the name.
   std::size_t stack_memory_bytes() const;
 
   // Installs a host-resident packet filter (software firewall); nullptr
@@ -132,7 +139,7 @@ class Host : public link::FrameSink {
   bool verify_transport_checksum(const net::FrameView& v) const;
   void handle_icmp(const net::FrameView& v);
   void send_icmp_port_unreachable(const net::FrameView& original);
-  // This host's endpoints toward `dst`; nullopt when ARP cannot resolve it.
+  // This host's endpoints toward `dst`; nullopt when `dst` does not resolve.
   std::optional<net::IpEndpoints> endpoints_to(net::Ipv4Address dst) const;
   // Counts and sends a frame this host built.
   void send_built(net::FrameBufferRef frame);
@@ -143,7 +150,7 @@ class Host : public link::FrameSink {
   net::Ipv4Address ip_;
   std::unique_ptr<Nic> nic_;
   HostConfig config_;
-  ArpTable arp_;
+  const AddressDirectory* directory_ = nullptr;
   HostPacketFilter* filter_ = nullptr;
 
   std::unique_ptr<UdpLayer> udp_;

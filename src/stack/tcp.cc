@@ -35,6 +35,9 @@ namespace {
 // Atomic because sweep-runner workers create and destroy connections on
 // several threads at once; the counter is diagnostic only.
 std::atomic<std::int64_t> g_live_connections{0};
+
+// Fixed advertised receive window (no window scaling, as in the paper era).
+constexpr std::uint16_t kReceiveWindow = 65535;
 }  // namespace
 
 TcpConnection::TcpConnection(TcpLayer& layer, const net::FiveTuple& key,
@@ -128,7 +131,7 @@ void TcpConnection::start_active_open() {
   net::TcpHeader h;
   h.flags = TcpFlags::kSyn;
   h.seq = iss_;
-  h.window = cfg_.receive_window;
+  h.window = kReceiveWindow;
   h.mss = cfg_.mss;
   layer_.send_segment(key_, h, {});
   ++stats_.segments_sent;
@@ -151,7 +154,7 @@ void TcpConnection::start_passive_open(const net::TcpHeader& syn) {
   h.flags = TcpFlags::kSyn | TcpFlags::kAck;
   h.seq = iss_;
   h.ack = rcv_nxt_;
-  h.window = cfg_.receive_window;
+  h.window = kReceiveWindow;
   h.mss = cfg_.mss;
   layer_.send_segment(key_, h, {});
   ++stats_.segments_sent;
@@ -202,7 +205,7 @@ void TcpConnection::handle_syn_sent(const net::TcpHeader& h) {
     out.flags = TcpFlags::kSyn | TcpFlags::kAck;
     out.seq = iss_;
     out.ack = rcv_nxt_;
-    out.window = cfg_.receive_window;
+    out.window = kReceiveWindow;
     out.mss = cfg_.mss;
     layer_.send_segment(key_, out, {});
     ++stats_.segments_sent;
@@ -232,7 +235,7 @@ void TcpConnection::handle_segment(const net::TcpHeader& h,
     // exact expected sequence only).
     const bool acceptable =
         seq_ge(h.seq, rcv_nxt_) &&
-        seq_lt(h.seq, rcv_nxt_ + cfg_.receive_window);
+        seq_lt(h.seq, rcv_nxt_ + kReceiveWindow);
     if (acceptable || h.seq == rcv_nxt_) to_closed(true);
     return;
   }
@@ -244,7 +247,7 @@ void TcpConnection::handle_segment(const net::TcpHeader& h,
       out.flags = TcpFlags::kSyn | TcpFlags::kAck;
       out.seq = iss_;
       out.ack = rcv_nxt_;
-      out.window = cfg_.receive_window;
+      out.window = kReceiveWindow;
       out.mss = cfg_.mss;
       layer_.send_segment(key_, out, {});
       ++stats_.segments_sent;
@@ -369,7 +372,7 @@ void TcpConnection::process_data(const net::TcpHeader& h,
   if (seg_len == 0 && !has_fin) return;
 
   // Entirely outside the window?
-  if (seq_ge(seg_seq, rcv_nxt_ + cfg_.receive_window)) {
+  if (seq_ge(seg_seq, rcv_nxt_ + kReceiveWindow)) {
     send_ack_now();
     return;
   }
@@ -504,7 +507,7 @@ void TcpConnection::emit(std::uint8_t flags, std::uint32_t seq,
   h.flags = flags;
   h.seq = seq;
   h.ack = (flags & TcpFlags::kAck) ? rcv_nxt_ : 0;
-  h.window = cfg_.receive_window;
+  h.window = kReceiveWindow;
   layer_.send_segment(key_, h, payload);
   ++stats_.segments_sent;
   if (retransmission) ++stats_.retransmissions;
@@ -525,7 +528,7 @@ void TcpConnection::send_ack_now() {
   h.flags = TcpFlags::kAck;
   h.seq = snd_nxt_;
   h.ack = rcv_nxt_;
-  h.window = cfg_.receive_window;
+  h.window = kReceiveWindow;
   layer_.send_segment(key_, h, {});
   ++stats_.segments_sent;
 }
@@ -605,7 +608,7 @@ void TcpConnection::on_rto() {
       h.seq = iss_;
       h.ack = rcv_nxt_;
     }
-    h.window = cfg_.receive_window;
+    h.window = kReceiveWindow;
     h.mss = cfg_.mss;
     layer_.send_segment(key_, h, {});
     ++stats_.segments_sent;
@@ -670,7 +673,6 @@ void TcpConnection::to_closed(bool reset) {
 TcpConfig TcpLayer::make_config() const {
   TcpConfig cfg;
   cfg.mss = host_.config().mss;
-  cfg.receive_window = host_.config().receive_window;
   return cfg;
 }
 

@@ -63,7 +63,6 @@ const char* to_string(TcpState state);
 
 struct TcpConfig {
   std::uint16_t mss = 1460;
-  std::uint16_t receive_window = 65535;
   std::size_t send_buffer_cap = 256 * 1024;
   sim::Duration min_rto = sim::Duration::milliseconds(200);
   sim::Duration max_rto = sim::Duration::seconds(60);

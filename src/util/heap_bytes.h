@@ -5,7 +5,8 @@
 // containers and std::deque cannot be inspected portably, so their figures
 // follow the libstdc++ layout: what a counting operator new would see, minus
 // malloc's own headers. Objects a container points to (unique_ptr targets,
-// shared_ptr'd connections) are the caller's to add.
+// shared_ptr'd connections) are the caller's to add; a single owned object
+// reports itself through the unique_ptr overload.
 #pragma once
 
 #include <algorithm>
@@ -13,6 +14,7 @@
 #include <deque>
 #include <functional>
 #include <map>
+#include <memory>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -57,6 +59,13 @@ std::size_t heap_bytes(const std::unordered_map<K, V, H, E, A>& m) {
 template <typename K, typename V, typename C, typename A>
 std::size_t heap_bytes(const std::map<K, V, C, A>& m) {
   return m.size() * (sizeof(std::pair<const K, V>) + 4 * sizeof(void*));
+}
+
+// An owned object: the object itself plus the heap its memory_bytes()
+// reports; zero when there is none.
+template <typename T>
+std::size_t heap_bytes(const std::unique_ptr<T>& p) {
+  return p ? sizeof(T) + p->memory_bytes() : 0;
 }
 
 }  // namespace barb::util

@@ -106,8 +106,8 @@ TEST(Iperf, UdpReportRetriesSurviveReportLoss) {
                                          std::move(lossy));
   a->nic().attach(link.a());
   b->nic().attach(link.b());
-  a->arp().add(b->ip(), b->mac());
-  b->arp().add(a->ip(), a->mac());
+  stack::AddressDirectory directory;
+  testutil::share_directory(directory, {a.get(), b.get()});
 
   IperfServer server(*b);
   server.start();

@@ -8,6 +8,7 @@
 #include <memory>
 #include <string>
 
+#include "apps/flood_generator.h"
 #include "apps/ping.h"
 #include "core/testbed.h"
 #include "sim/simulation.h"
@@ -50,52 +51,51 @@ TEST(TopologyBuilder, LeafSpineSameSpecSameWiring) {
   EXPECT_EQ(wiring_digest(*a), wiring_digest(*b));
 }
 
+// Two shapes: 40 hosts, 16 per leaf, under two spines; and the campus tree,
+// 20 hosts, 8 per leaf, under one spine (the core). Neither host count is a
+// multiple of the leaf size, so the last leaf holds the remainder.
 TEST(TopologyBuilder, LeafSpineInvariants) {
-  LeafSpineSpec spec;
-  spec.hosts = 40;  // deliberately not a multiple of hosts_per_leaf
-  spec.hosts_per_leaf = 16;
-  spec.spines = 2;
-  sim::Simulation sim(1);
-  auto fabric = build_leaf_spine(sim, spec);
+  for (const int spines : {2, 1}) {
+    SCOPED_TRACE(spines == 1 ? "campus tree" : "two spines");
+    LeafSpineSpec spec;
+    spec.hosts = spines == 1 ? 20 : 40;
+    spec.hosts_per_leaf = spines == 1 ? 8 : 16;
+    spec.spines = spines;
+    const int leaves = (spec.hosts + spec.hosts_per_leaf - 1) / spec.hosts_per_leaf;
+    sim::Simulation sim(1);
+    auto fabric = build_leaf_spine(sim, spec);
 
-  EXPECT_EQ(fabric->num_hosts(), 40);
-  // ceil(40/16)=3 leaves + 2 spines.
-  EXPECT_EQ(fabric->num_switches(), 5);
-  EXPECT_TRUE(fabric->all_hosts_routed());
-  ASSERT_NE(fabric->directory(), nullptr);
-  EXPECT_TRUE(fabric->directory()->frozen());
-  EXPECT_EQ(fabric->directory()->size(), 40u);
+    EXPECT_EQ(fabric->num_hosts(), spec.hosts);
+    EXPECT_EQ(leaves, 3);
+    EXPECT_EQ(fabric->num_switches(), spines + leaves);
+    EXPECT_TRUE(fabric->all_hosts_routed());
+    ASSERT_NE(fabric->directory(), nullptr);
+    EXPECT_TRUE(fabric->directory()->frozen());
+    EXPECT_EQ(fabric->directory()->size(), static_cast<std::size_t>(spec.hosts));
 
-  // Port degrees: each spine has one trunk per leaf; each leaf has one trunk
-  // per spine plus its hosts.
-  EXPECT_EQ(fabric->fabric_switch(0).num_ports(), 3);  // spine0: 3 leaves
-  EXPECT_EQ(fabric->fabric_switch(1).num_ports(), 3);
-  EXPECT_EQ(fabric->fabric_switch(2).num_ports(), 2 + 16);  // leaf0
-  EXPECT_EQ(fabric->fabric_switch(3).num_ports(), 2 + 16);  // leaf1
-  EXPECT_EQ(fabric->fabric_switch(4).num_ports(), 2 + 8);   // leaf2: remainder
+    // Port degrees: each spine has one trunk per leaf; each leaf has one
+    // trunk per spine plus its hosts.
+    for (int s = 0; s < spines; ++s) {
+      EXPECT_EQ(fabric->fabric_switch(s).name(), "spine" + std::to_string(s));
+      EXPECT_EQ(fabric->fabric_switch(s).num_ports(), leaves);
+    }
+    const int last = spec.hosts - 2 * spec.hosts_per_leaf;
+    EXPECT_EQ(fabric->fabric_switch(spines).name(), "leaf0");
+    EXPECT_EQ(fabric->fabric_switch(spines).num_ports(), spines + spec.hosts_per_leaf);
+    EXPECT_EQ(fabric->fabric_switch(spines + 1).num_ports(), spines + spec.hosts_per_leaf);
+    EXPECT_EQ(fabric->fabric_switch(spines + 2).num_ports(), spines + last);
 
-  // Hosts land on their leaf in declaration order.
-  EXPECT_EQ(fabric->host_switch(0), 2);
-  EXPECT_EQ(fabric->host_switch(15), 2);
-  EXPECT_EQ(fabric->host_switch(16), 3);
-  EXPECT_EQ(fabric->host_switch(39), 4);
+    // Hosts land on their leaf in declaration order.
+    EXPECT_EQ(fabric->host_switch(0), spines);
+    EXPECT_EQ(fabric->host_switch(spec.hosts_per_leaf - 1), spines);
+    EXPECT_EQ(fabric->host_switch(spec.hosts_per_leaf), spines + 1);
+    EXPECT_EQ(fabric->host_switch(spec.hosts - 1), spines + 2);
 
-  // Fabric switches must not learn or flood (redundant paths).
-  EXPECT_FALSE(fabric->fabric_switch(0).config().learning);
-  EXPECT_FALSE(fabric->fabric_switch(0).config().flood_unknown);
-}
-
-TEST(TopologyBuilder, CampusTreeInvariants) {
-  CampusTreeSpec spec;
-  spec.hosts = 20;
-  spec.hosts_per_edge = 8;
-  sim::Simulation sim(1);
-  auto fabric = build_campus_tree(sim, spec);
-
-  EXPECT_EQ(fabric->num_hosts(), 20);
-  EXPECT_EQ(fabric->num_switches(), 1 + 3);  // core + ceil(20/8) edges
-  EXPECT_TRUE(fabric->all_hosts_routed());
-  EXPECT_EQ(fabric->fabric_switch(0).num_ports(), 3);  // core: one per edge
+    // Fabric switches must not learn or flood (with two spines the paths
+    // are redundant; the tree is preloaded all the same).
+    EXPECT_FALSE(fabric->fabric_switch(0).config().learning);
+    EXPECT_FALSE(fabric->fabric_switch(0).config().flood_unknown);
+  }
 }
 
 TEST(TopologyBuilder, CrossFabricPingWorks) {
@@ -157,14 +157,17 @@ TEST(TopologyBuilder, MemoryAuditCoversEveryHost) {
   EXPECT_GT(audit.host_object_bytes, 0u);
   EXPECT_GT(audit.per_host_bytes(), 0u);
 
-  // Shared directory: per-host private ARP stays O(1), independent of fleet
-  // size (a full mesh would grow it linearly with the host count).
+  // Address resolution is the one shared directory: its bytes per host stay
+  // O(1), independent of fleet size (a full mesh of per-host maps would
+  // grow linearly with the host count).
+  EXPECT_EQ(audit.directory_bytes,
+            sizeof(stack::AddressDirectory) + fabric->directory()->memory_bytes());
   LeafSpineSpec small = spec;
   small.hosts = 16;
   sim::Simulation sim_small(1);
   auto fabric_small = build_leaf_spine(sim_small, small);
-  EXPECT_EQ(audit.arp_private_bytes / 64,
-            fabric_small->memory_audit().arp_private_bytes / 16);
+  EXPECT_EQ(fabric->directory()->memory_bytes() / 64,
+            fabric_small->directory()->memory_bytes() / 16);
 }
 
 TEST(TopologyBuilder, PerHostNicProfilesApply) {
@@ -199,19 +202,6 @@ TEST(TopologyBuilder, FleetMetricsRegisterAndSample) {
   EXPECT_GT(registry.value("switch.fib_entries", "switch=spine0"), 0.0);
 }
 
-// NicSpec::backend replaces the override's backend, so an override that
-// carries one (say, the stateful backend) would silently run linear.
-TEST(TopologyBuilderDeathTest, ProfileOverrideWithBackendAborts) {
-  HostSpec spec;
-  spec.name = "target";
-  spec.nic.kind = FirewallKind::kEfw;
-  spec.nic.profile_override =
-      firewall::with_backend(firewall::efw_profile(), firewall::MatchBackend::kLinearStateful);
-  sim::Simulation sim(1);
-  EXPECT_DEATH(make_nic(sim, spec, nullptr),
-               "profile_override must keep the linear backend");
-}
-
 // The Testbed preset must still wire the paper's Figure 1 exactly: four
 // hosts in the legacy order on one switch, legacy addresses and labels.
 TEST(TopologyBuilder, TestbedPresetKeepsLegacyWiring) {
@@ -230,19 +220,47 @@ TEST(TopologyBuilder, TestbedPresetKeepsLegacyWiring) {
   EXPECT_EQ(&testbed.policy_host(), &fabric.host(0));
   EXPECT_EQ(&testbed.target(), &fabric.host(3));
   EXPECT_EQ(testbed.target_firewall(), fabric.firewall(3));
-  // The preset resolves through the shared directory like every fleet: a
-  // host's private ARP table holds only its own binding.
+  // The preset resolves through the shared directory like every fleet:
+  // every host resolves all four hosts, itself included.
   ASSERT_NE(fabric.directory(), nullptr);
   EXPECT_TRUE(fabric.directory()->frozen());
   EXPECT_EQ(fabric.directory()->size(), 4u);
   for (int i = 0; i < fabric.num_hosts(); ++i) {
-    EXPECT_EQ(fabric.host(i).arp().size(), 1u);
-    EXPECT_EQ(fabric.host(i).arp().directory(), fabric.directory());
+    EXPECT_EQ(fabric.host(i).directory(), fabric.directory());
+    for (int j = 0; j < fabric.num_hosts(); ++j) {
+      EXPECT_EQ(fabric.host(i).resolve(fabric.host(j).ip()), fabric.host(j).mac())
+          << fabric.host(i).name() << " -> " << fabric.host(j).name();
+    }
   }
-  EXPECT_EQ(fabric.directory()->lookup(testbed.addresses().target), testbed.target().mac());
   // The testbed switch keeps the classic learning/flooding behaviour.
   EXPECT_TRUE(testbed.ethernet_switch().config().learning);
   EXPECT_TRUE(testbed.ethernet_switch().config().flood_unknown);
+}
+
+// The attacker crafts its flood frames itself; their destination MAC comes
+// from the directory, so every one reaches the target unicast.
+TEST(TopologyBuilder, TestbedFloodFramesCarryTheTargetMac) {
+  struct Tap : link::FrameSink {
+    std::vector<net::MacAddress> dst_macs;
+    void deliver(net::Packet pkt) override { dst_macs.push_back(pkt.view()->eth.dst); }
+  };
+  sim::Simulation sim(1);
+  Testbed testbed(sim, TestbedConfig{});
+  Tap tap;
+  testbed.target().nic().set_host_sink(&tap);
+  for (const bool spoof : {false, true}) {
+    apps::FloodConfig cfg;
+    cfg.target = testbed.addresses().target;
+    cfg.rate_pps = 1000;
+    cfg.spoof_source = spoof;
+    apps::FloodGenerator flood(testbed.attacker(), cfg);
+    flood.start();
+    sim.run_for(sim::Duration::milliseconds(20));
+    flood.stop();
+    sim.run_for(sim::Duration::milliseconds(5));
+  }
+  ASSERT_EQ(tap.dst_macs.size(), 42u);
+  for (const net::MacAddress& mac : tap.dst_macs) EXPECT_EQ(mac, testbed.target().mac());
 }
 
 }  // namespace

@@ -333,15 +333,15 @@ TEST(CompiledClassifier, NodesGrowSubLinearlyWithDepth) {
 
 TEST(CompiledClassifier, NicInstallRebuildsAndReportsStats) {
   sim::Simulation sim(1);
-  auto profile = with_backend(adf_profile(), MatchBackend::kCompiled);
-  EXPECT_EQ(profile.match_backend, MatchBackend::kCompiled);
-  EXPECT_NE(profile.name.find("+compiled"), std::string::npos);
-  FirewallNic nic(sim, net::MacAddress::from_host_id(40), "test/adf", profile);
+  FirewallNic nic(sim, net::MacAddress::from_host_id(40), "test/adf", adf_profile(),
+                  MatchBackend::kCompiled);
+  EXPECT_EQ(nic.matcher().backend(), MatchBackend::kCompiled);
 
   RuleSet rs;
   rs.add(allow_to_port(80));
   nic.install_rule_set(rs);
-  EXPECT_EQ(nic.matcher().compiled().stats().rules, 1u);
+  ASSERT_NE(nic.matcher().compiled(), nullptr);
+  EXPECT_EQ(nic.matcher().compiled()->stats().rules, 1u);
   EXPECT_GE(nic.matcher().stats().rebuilds, 1u);
 }
 

@@ -4,6 +4,7 @@
 
 #include <vector>
 
+#include "core/topology.h"
 #include "firewall/nic_firewall.h"
 #include "firewall/policy.h"
 #include "net/packet_builder.h"
@@ -36,14 +37,47 @@ net::FiveTuple udp_tuple(std::uint16_t dst_port) {
                         4000, dst_port, 17};
 }
 
+// make_nic labels a card "<host>/<profile name>", with the backend appended
+// when it is not linear. The backend is the card's, never the profile's: a
+// profile override keeps its own name and takes the NicSpec's backend.
 TEST(Matcher, BackendNamesAndProfileSuffixes) {
   EXPECT_STREQ(to_string(MatchBackend::kLinearStateful), "linear+stateful");
-  EXPECT_EQ(with_backend(efw_profile(), MatchBackend::kLinear).name, "EFW");
-  EXPECT_EQ(with_backend(efw_profile(), MatchBackend::kLinearStateful).name,
-            "EFW+stateful");
-  EXPECT_EQ(with_backend(adf_profile(), MatchBackend::kCompiled).name, "ADF+compiled");
-  EXPECT_EQ(with_backend(adf_profile(), MatchBackend::kCompiledFlowCache).name,
-            "ADF+flowcache");
+  DeviceProfile slow_adf = adf_profile();
+  slow_adf.per_rule = sim::Duration::microseconds(5);
+  struct Case {
+    core::FirewallKind kind;
+    MatchBackend backend;
+    std::optional<DeviceProfile> profile_override;
+    const char* label;
+  };
+  const Case cases[] = {
+      {core::FirewallKind::kEfw, MatchBackend::kLinear, {}, "target/EFW"},
+      {core::FirewallKind::kEfw, MatchBackend::kLinearStateful, {}, "target/EFW+stateful"},
+      {core::FirewallKind::kAdf, MatchBackend::kCompiled, {}, "target/ADF+compiled"},
+      {core::FirewallKind::kAdf, MatchBackend::kCompiledFlowCache, {},
+       "target/ADF+flowcache"},
+      {core::FirewallKind::kAdf, MatchBackend::kLinearStateful, slow_adf,
+       "target/ADF+stateful"},
+  };
+  sim::Simulation sim(1);
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.label);
+    core::HostSpec spec;
+    spec.name = "target";
+    spec.nic.kind = c.kind;
+    spec.nic.backend = c.backend;
+    spec.nic.profile_override = c.profile_override;
+    FirewallNic* card = nullptr;
+    const auto nic = core::make_nic(sim, spec, &card);
+    ASSERT_NE(card, nullptr);
+    EXPECT_EQ(nic->name(), c.label);
+    EXPECT_EQ(card->matcher().backend(), c.backend);
+    const DeviceProfile want = c.profile_override ? *c.profile_override
+                               : c.kind == core::FirewallKind::kEfw ? efw_profile()
+                                                                    : adf_profile();
+    EXPECT_EQ(card->profile().name, want.name);
+    EXPECT_EQ(card->profile().per_rule, want.per_rule);
+  }
 }
 
 // The cost FloodGuard is sized by: a frame on the backend's slowest path.
@@ -51,10 +85,12 @@ TEST(Matcher, WorstCaseCostPerBackend) {
   const DeviceProfile profile = efw_profile();
   for (const MatchBackend backend : kAllBackends) {
     SCOPED_TRACE(to_string(backend));
-    Matcher matcher(with_backend(profile, backend));
+    Matcher matcher(profile, backend);
     matcher.install(depth64_policy());
     const sim::Duration compiled_walk =
-        profile.compiled_node * matcher.compiled().worst_case_nodes();
+        matcher.compiled() != nullptr
+            ? profile.compiled_node * matcher.compiled()->worst_case_nodes()
+            : sim::Duration::zero();
     sim::Duration want;
     switch (backend) {
       case MatchBackend::kLinear: want = profile.per_rule * 64; break;
@@ -79,8 +115,7 @@ TEST(Matcher, FloodGuardSizingPaysTheStateProbe) {
   for (const MatchBackend backend : {MatchBackend::kLinear, MatchBackend::kLinearStateful}) {
     SCOPED_TRACE(to_string(backend));
     sim::Simulation sim(1);
-    FirewallNic nic(sim, net::MacAddress::from_host_id(40), "fw",
-                    with_backend(profile, backend));
+    FirewallNic nic(sim, net::MacAddress::from_host_id(40), "fw", profile, backend);
     nic.install_rule_set(depth64_policy());
     nic.enable_flood_guard(guard);
     ASSERT_NE(nic.flood_guard(), nullptr);
@@ -103,8 +138,10 @@ TEST(Matcher, FloodGuardSizingPaysTheStateProbe) {
 }
 
 TEST(Matcher, StatefulHitsSkipTheWalkUntilFlowsAreForgotten) {
-  const DeviceProfile profile = with_backend(adf_profile(), MatchBackend::kLinearStateful);
-  Matcher matcher(profile);
+  const DeviceProfile profile = adf_profile();
+  Matcher matcher(profile, MatchBackend::kLinearStateful);
+  ASSERT_NE(matcher.flow_states(), nullptr);
+  const FlowStateTable& states = *matcher.flow_states();
   matcher.install(depth64_policy());
   const sim::TimePoint now;
   const net::FiveTuple flow = udp_tuple(80);
@@ -131,40 +168,59 @@ TEST(Matcher, StatefulHitsSkipTheWalkUntilFlowsAreForgotten) {
     EXPECT_EQ(mr.action, RuleAction::kDeny);
     EXPECT_EQ(service, profile.state_lookup + profile.per_rule * 64);
   }
-  EXPECT_EQ(matcher.flow_states().size(), 1u);
+  EXPECT_EQ(states.size(), 1u);
 
   matcher.forget_flows();
-  EXPECT_EQ(matcher.flow_states().size(), 0u);
+  EXPECT_EQ(states.size(), 0u);
   service = sim::Duration::zero();
   EXPECT_EQ(matcher.classify(flow, now, &service).rules_traversed, 64);
   matcher.install(depth64_policy());
-  EXPECT_EQ(matcher.flow_states().size(), 0u);
+  EXPECT_EQ(states.size(), 0u);
 }
 
-// The linear backends build no compiled structure, register no "match.*"
-// metrics and never touch the flow cache; the stateful one alone keeps
-// flow state.
+// Each backend holds exactly the tables it uses: the linear one its rules
+// alone, the stateful one a flow-state table, the compiled ones the compiled
+// structure, and the flow-cache one a flow cache in front of it. Only the
+// compiled backends register "match.*" metrics, and only the flow-cache one
+// its "match.flow_*" block.
 TEST(Matcher, EachBackendTouchesOnlyItsOwnTables) {
   for (const MatchBackend backend : kAllBackends) {
     SCOPED_TRACE(to_string(backend));
     const bool compiled = backend == MatchBackend::kCompiled ||
                           backend == MatchBackend::kCompiledFlowCache;
-    Matcher matcher(with_backend(adf_profile(), backend));
+    const bool cached = backend == MatchBackend::kCompiledFlowCache;
+    const bool stateful = backend == MatchBackend::kLinearStateful;
+    Matcher matcher(adf_profile(), backend);
     telemetry::MetricRegistry registry;
     matcher.register_metrics(registry, "fw=test");
     matcher.install(depth64_policy());
     sim::Duration service;
     for (int i = 0; i < 3; ++i) matcher.classify(udp_tuple(80), sim::TimePoint(), &service);
 
+    ASSERT_EQ(matcher.compiled() != nullptr, compiled);
+    ASSERT_EQ(matcher.flow_cache() != nullptr, cached);
+    ASSERT_EQ(matcher.flow_states() != nullptr, stateful);
     EXPECT_EQ(registry.find("match.lookups", "fw=test") != nullptr, compiled);
-    EXPECT_EQ(matcher.compiled().stats().rules, compiled ? 64u : 0u);
+    EXPECT_EQ(registry.find("match.flow_lookups", "fw=test") != nullptr, cached);
     EXPECT_EQ(matcher.stats().lookups, compiled ? 3u : 0u);
     EXPECT_EQ(matcher.stats().rebuilds, compiled ? 1u : 0u);
-    const bool cached = backend == MatchBackend::kCompiledFlowCache;
-    EXPECT_EQ(matcher.flow_cache().stats().lookups, cached ? 3u : 0u);
-    EXPECT_EQ(matcher.flow_cache().stats().hits, cached ? 2u : 0u);
-    EXPECT_EQ(matcher.flow_states().size(),
-              backend == MatchBackend::kLinearStateful ? 1u : 0u);
+    std::size_t table_bytes = 0;
+    if (compiled) {
+      EXPECT_EQ(matcher.compiled()->stats().rules, 64u);
+      table_bytes += sizeof(CompiledClassifier) + matcher.compiled()->memory_bytes();
+    }
+    if (cached) {
+      EXPECT_EQ(matcher.flow_cache()->stats().lookups, 3u);
+      EXPECT_EQ(matcher.flow_cache()->stats().hits, 2u);
+      table_bytes += sizeof(FlowCache) + matcher.flow_cache()->memory_bytes();
+    }
+    if (stateful) {
+      EXPECT_EQ(matcher.flow_states()->size(), 1u);
+      table_bytes += sizeof(FlowStateTable) + matcher.flow_states()->memory_bytes();
+    }
+    // A linear matcher's footprint is its rules'.
+    EXPECT_EQ(table_bytes == 0, backend == MatchBackend::kLinear);
+    EXPECT_EQ(matcher.memory_bytes(), matcher.rules().memory_bytes() + table_bytes);
   }
 }
 
@@ -198,7 +254,7 @@ TEST(Matcher, VpgAndTuplelessFramesBypassTheFlowTables) {
 
   for (const MatchBackend backend : kAllBackends) {
     SCOPED_TRACE(to_string(backend));
-    Matcher matcher(with_backend(adf_profile(), backend));
+    Matcher matcher(adf_profile(), backend);
     matcher.install(rules);
     for (const auto& bytes : frames) {
       const auto view = net::FrameView::parse(bytes);
@@ -213,8 +269,12 @@ TEST(Matcher, VpgAndTuplelessFramesBypassTheFlowTables) {
         EXPECT_EQ(got.rules_traversed, want.rules_traversed);
       }
     }
-    EXPECT_EQ(matcher.flow_cache().stats().lookups, 0u);
-    EXPECT_EQ(matcher.flow_states().size(), 0u);
+    if (const FlowCache* cache = matcher.flow_cache()) {
+      EXPECT_EQ(cache->stats().lookups, 0u);
+    }
+    if (const FlowStateTable* states = matcher.flow_states()) {
+      EXPECT_EQ(states->size(), 0u);
+    }
   }
 }
 

@@ -26,9 +26,10 @@ struct Harness {
     return cfg;
   }
 
-  explicit Harness(DeviceProfile profile = efw_profile())
+  explicit Harness(DeviceProfile profile = efw_profile(),
+                   MatchBackend backend = MatchBackend::kLinear)
       : link(sim, deep_link()),
-        nic(sim, net::MacAddress::from_host_id(40), "fw", std::move(profile)) {
+        nic(sim, net::MacAddress::from_host_id(40), "fw", std::move(profile), backend) {
     nic.attach(link.b());
     nic.set_host_sink(&host_side);
     link.a().connect_sink(&wire_side);
@@ -307,8 +308,8 @@ TEST(FirewallNic, FramesForOtherMacsIgnored) {
 }
 
 // The paper's cards are linear and stateless: neither flow table is ever
-// used, so neither is ever allocated. Each table is allocated by the first
-// frame that needs it.
+// used, so neither exists. On the backend that uses one, the table's slots
+// are allocated by the first frame that needs them.
 TEST(FirewallNic, LinearStatelessCardHoldsNoFlowTables) {
   constexpr const char* kPolicy = "default deny\nallow udp from any to any port 80\n";
   for (const auto& profile : {efw_profile(), adf_profile()}) {
@@ -325,16 +326,17 @@ TEST(FirewallNic, LinearStatelessCardHoldsNoFlowTables) {
     h.sim.run();
     EXPECT_EQ(h.host_side.frames.size(), 3u);
     EXPECT_EQ(h.nic.fw_stats().rx_denied, 1u);
-    EXPECT_EQ(h.nic.matcher().flow_cache().memory_bytes(), 0u);
-    EXPECT_EQ(h.nic.matcher().flow_states().memory_bytes(), 0u);
+    EXPECT_EQ(h.nic.matcher().flow_cache(), nullptr);
+    EXPECT_EQ(h.nic.matcher().flow_states(), nullptr);
     // What the card does hold: two rules, an empty ring queue, its name.
     EXPECT_LT(h.nic.memory_bytes(), 1024u);
   }
 
   {
     SCOPED_TRACE("linear+stateful");
-    Harness h(with_backend(efw_profile(), MatchBackend::kLinearStateful));
-    const FlowStateTable& states = h.nic.matcher().flow_states();
+    Harness h(efw_profile(), MatchBackend::kLinearStateful);
+    ASSERT_NE(h.nic.matcher().flow_states(), nullptr);
+    const FlowStateTable& states = *h.nic.matcher().flow_states();
     h.install(kPolicy);
     h.from_wire(udp_frame(1, 81));  // denied: no state
     h.sim.run();
@@ -343,20 +345,21 @@ TEST(FirewallNic, LinearStatelessCardHoldsNoFlowTables) {
     h.sim.run();
     EXPECT_EQ(states.size(), 1u);
     EXPECT_GE(states.memory_bytes(), states.slot_count() * sizeof(std::uint32_t));
-    EXPECT_EQ(h.nic.matcher().flow_cache().memory_bytes(), 0u);
+    EXPECT_EQ(h.nic.matcher().flow_cache(), nullptr);
   }
 
   {
     SCOPED_TRACE("compiled+flowcache");
-    Harness h(with_backend(adf_profile(), MatchBackend::kCompiledFlowCache));
-    const FlowCache& cache = h.nic.matcher().flow_cache();
+    Harness h(adf_profile(), MatchBackend::kCompiledFlowCache);
+    ASSERT_NE(h.nic.matcher().flow_cache(), nullptr);
+    const FlowCache& cache = *h.nic.matcher().flow_cache();
     h.install(kPolicy);
     EXPECT_EQ(cache.memory_bytes(), 0u);
     h.from_wire(udp_frame(1, 81));  // deny verdicts are cached too
     h.sim.run();
     EXPECT_EQ(h.nic.fw_stats().rx_denied, 1u);
     EXPECT_EQ(cache.memory_bytes(), cache.capacity() * FlowCache::slot_bytes());
-    EXPECT_EQ(h.nic.matcher().flow_states().memory_bytes(), 0u);
+    EXPECT_EQ(h.nic.matcher().flow_states(), nullptr);
     EXPECT_GT(h.nic.memory_bytes(), cache.memory_bytes());
   }
 }
@@ -392,9 +395,9 @@ TEST(FirewallNic, ServiceTimePinnedPerBackend) {
   };
   for (const Pinned& want : cards) {
     SCOPED_TRACE(to_string(want.backend));
-    auto profile = with_backend(adf_profile(), want.backend);
+    auto profile = adf_profile();
     profile.service_jitter = 0;
-    Harness h(profile);
+    Harness h(profile, want.backend);
     h.install(policy.c_str());
     h.sim.run();
     for (int i = 0; i < 3; ++i) h.from_wire(udp_frame(1, 80));
@@ -430,7 +433,8 @@ TEST(FirewallNic, ServiceTimePinnedPerBackend) {
     EXPECT_EQ(match.lookups, want.match.lookups);
     EXPECT_EQ(match.compiled_nodes, want.match.compiled_nodes);
     EXPECT_EQ(match.rebuilds, want.match.rebuilds);
-    const FlowCacheStats& cache = h.nic.matcher().flow_cache().stats();
+    const FlowCache* flow_cache = h.nic.matcher().flow_cache();
+    const FlowCacheStats cache = flow_cache ? flow_cache->stats() : FlowCacheStats{};
     EXPECT_EQ(cache.hits, want.flow_hits);
     EXPECT_EQ(cache.misses, want.flow_misses);
     EXPECT_EQ(cache.stale_hits, want.flow_stale_hits);

@@ -23,6 +23,7 @@ struct GroupFixture {
   sim::Simulation sim{31};
   link::Switch sw{sim, "sw"};
   std::vector<std::unique_ptr<link::Link>> links;
+  stack::AddressDirectory directory;
   std::unique_ptr<stack::Host> policy_host;
   std::unique_ptr<PolicyServer> server;
   std::vector<GroupMember> members;
@@ -60,14 +61,12 @@ struct GroupFixture {
       members.push_back(std::move(m));
     }
 
-    // Full static ARP mesh.
+    // Every host resolves every other through one directory.
     std::vector<stack::Host*> all{policy_host.get()};
     for (auto& m : members) all.push_back(m.host.get());
-    for (auto* h1 : all) {
-      for (auto* h2 : all) {
-        if (h1 != h2) h1->arp().add(h2->ip(), h2->mac());
-      }
-    }
+    for (auto* h : all) directory.add(h->ip(), h->mac());
+    directory.freeze();
+    for (auto* h : all) h->set_directory(&directory);
 
     // One group policy for every member: tunnel all intra-subnet traffic.
     std::vector<net::Ipv4Address> ips;
@@ -137,7 +136,11 @@ TEST(VpgGroup, NonMemberCannotJoinTheConversation) {
   f.links.push_back(std::make_unique<link::Link>(f.sim));
   outsider->nic().attach(f.links.back()->a());
   f.sw.attach(f.links.back()->b());
-  outsider->arp().add(f.members[0].host->ip(), f.members[0].host->mac());
+  // The outsider knows the member's address; the members do not know its.
+  stack::AddressDirectory outsider_view;
+  outsider_view.add(f.members[0].host->ip(), f.members[0].host->mac());
+  outsider_view.freeze();
+  outsider->set_directory(&outsider_view);
 
   int received = 0;
   auto* listener = f.members[0].host->udp_open(7);

@@ -233,9 +233,9 @@ std::vector<firewall::Matcher> compiled_matchers() {
   std::vector<firewall::Matcher> matchers;
   for (const auto backend : {firewall::MatchBackend::kCompiled,
                              firewall::MatchBackend::kCompiledFlowCache}) {
-    auto profile = firewall::with_backend(firewall::adf_profile(), backend);
+    auto profile = firewall::adf_profile();
     profile.flow_cache_capacity = 512;
-    matchers.emplace_back(profile);
+    matchers.emplace_back(profile, backend);
   }
   return matchers;
 }
@@ -280,7 +280,7 @@ std::uint64_t run_differential_oracle(std::uint64_t seed, Failures fail) {
     rs.set_default_action(rng.bernoulli(0.5) ? firewall::RuleAction::kAllow
                                              : firewall::RuleAction::kDeny);
     for (auto& m : matchers) m.install(rs);
-    const firewall::CompiledClassifier& compiled = matchers.front().compiled();
+    const firewall::CompiledClassifier& compiled = *matchers.front().compiled();
 
     for (int i = 0; i < 1500; ++i) {
       const auto t = random_tuple(rng);
@@ -470,7 +470,7 @@ std::uint64_t run_policy_oracle(std::uint64_t seed, Failures fail,
 
     // Three-way differential over universe traffic + perturbed near-misses.
     for (auto& m : matchers) m.install(corpus.rules);
-    const firewall::CompiledClassifier& compiled = matchers.front().compiled();
+    const firewall::CompiledClassifier& compiled = *matchers.front().compiled();
     for (int i = 0; i < 2000; ++i) {
       net::FiveTuple t = gen.random_universe_tuple();
       if (rng.bernoulli(0.25)) {
@@ -517,7 +517,7 @@ std::uint64_t run_policy_oracle(std::uint64_t seed, Failures fail,
     }
   }
 
-  const auto& st = matchers.back().flow_cache().stats();
+  const auto& st = matchers.back().flow_cache()->stats();
   if (st.lookups != st.hits + st.misses) {
     fail("policy-flow-cache: lookups=" + std::to_string(st.lookups) +
          " != hits=" + std::to_string(st.hits) + " + misses=" +
@@ -1149,7 +1149,8 @@ void run_star_scenario(const Scenario& s, std::vector<std::string>* failures,
 // Fabric scenarios (multi-switch topologies from TopologyBuilder)
 // ---------------------------------------------------------------------------
 
-// A randomized leaf-spine or campus-tree fabric, 2..64 hosts, with TCP
+// A randomized leaf-spine fabric, 2..64 hosts (a "tree" is the one-spine
+// leaf-spine: edge switches under one core), with TCP
 // transfers between random host pairs. Runs under the same conservation /
 // NIC-accounting / TCP-safety / monotonicity oracles as the legacy families,
 // plus a fabric-specific one: every switch must hold a route to every host
@@ -1158,10 +1159,10 @@ void run_star_scenario(const Scenario& s, std::vector<std::string>* failures,
 // Drawn from its own salted stream (kFabricSalt): the legacy testbed/star
 // generators see zero new draws, so their scenarios stay stable per seed.
 struct FabricScenario {
-  bool tree = false;  // campus tree vs leaf-spine
+  bool tree = false;  // one spine, whatever `spines` drew
   int hosts = 2;
-  int group = 4;   // hosts per leaf / per edge switch
-  int spines = 1;  // leaf-spine only
+  int group = 4;   // hosts per leaf
+  int spines = 1;  // spines of a non-tree fabric
   std::vector<core::FirewallKind> nic_kinds;  // per host
   std::vector<firewall::MatchBackend> nic_backends;  // per host; cards only
   int padding_rules = 0;  // inert deny rules ahead of the allow-all default
@@ -1210,21 +1211,12 @@ std::unique_ptr<core::Fabric> build_fabric(sim::Simulation& sim,
     nic.backend = s.nic_backends[static_cast<std::size_t>(index)];
     return nic;
   };
-  std::unique_ptr<core::Fabric> fabric;
-  if (s.tree) {
-    core::CampusTreeSpec spec;
-    spec.hosts = s.hosts;
-    spec.hosts_per_edge = s.group;
-    spec.nic_for = nic_for;
-    fabric = core::build_campus_tree(sim, spec);
-  } else {
-    core::LeafSpineSpec spec;
-    spec.hosts = s.hosts;
-    spec.hosts_per_leaf = s.group;
-    spec.spines = s.spines;
-    spec.nic_for = nic_for;
-    fabric = core::build_leaf_spine(sim, spec);
-  }
+  core::LeafSpineSpec spec;
+  spec.hosts = s.hosts;
+  spec.hosts_per_leaf = s.group;
+  spec.spines = s.tree ? 1 : s.spines;
+  spec.nic_for = nic_for;
+  auto fabric = core::build_leaf_spine(sim, spec);
   // Firewalled hosts get a permissive policy with inert padding ahead of the
   // default (a fresh FirewallNic default-denies, which would just stall the
   // transfers; firewall *semantics* are fuzzed by the testbed family).

@@ -1,10 +1,16 @@
-// The shared AddressDirectory: lookups after freeze, the ArpTable fallback
-// and its overrides, and the footprint against a full-mesh ARP table.
+// The shared AddressDirectory: lookups after freeze, a host resolving only
+// through the directory it is handed, and the footprint against a full-mesh
+// ARP map.
 #include "stack/address_directory.h"
 
 #include <gtest/gtest.h>
 
-#include "stack/arp_table.h"
+#include <unordered_map>
+#include <vector>
+
+#include "stack/udp.h"
+#include "testutil/fixtures.h"
+#include "util/heap_bytes.h"
 
 namespace barb::stack {
 namespace {
@@ -28,25 +34,31 @@ TEST(AddressDirectory, LookupAfterFreeze) {
   EXPECT_FALSE(dir.lookup(Ipv4Address(10, 0, 0, 200)).has_value());
 }
 
-TEST(AddressDirectory, ArpTableFallsBackToDirectoryAndOverrides) {
-  AddressDirectory dir;
-  dir.add(Ipv4Address(10, 0, 0, 1), MacAddress::from_host_id(1));
-  dir.add(Ipv4Address(10, 0, 0, 2), MacAddress::from_host_id(2));
-  dir.freeze();
+// A host resolves through the directory it is handed and nothing else:
+// without one it resolves no address, its own included, and sends nothing.
+TEST(AddressDirectory, HostWithoutDirectorySendsNothing) {
+  sim::Simulation sim(1);
+  testutil::TwoHosts net(sim);
+  auto lone = testutil::make_host(sim, "lone", 3, Ipv4Address(10, 0, 0, 3));
+  EXPECT_EQ(lone->directory(), nullptr);
+  EXPECT_FALSE(lone->resolve(lone->ip()).has_value());
+  EXPECT_FALSE(lone->resolve(net.a->ip()).has_value());
 
-  ArpTable arp;
-  arp.set_directory(&dir);
-  auto mac = arp.lookup(Ipv4Address(10, 0, 0, 2));
-  ASSERT_TRUE(mac.has_value());
-  EXPECT_EQ(*mac, MacAddress::from_host_id(2));
+  const std::vector<std::uint8_t> payload(8, 1);
+  UdpSocket* sock = lone->udp_open(0);
+  ASSERT_NE(sock, nullptr);
+  EXPECT_FALSE(sock->send_to(net.a->ip(), 7, payload));
+  EXPECT_FALSE(lone->send_echo_request(net.a->ip(), 1, 1));
+  const auto conn = lone->tcp_connect(net.a->ip(), 80);  // SYN and its retries
+  sim.run_for(sim::Duration::seconds(5));
+  EXPECT_EQ(lone->stats().ip_tx, 0u);
+  EXPECT_EQ(lone->nic().stats().tx_requested, 0u);
 
-  // Private entries shadow the shared directory.
-  arp.add(Ipv4Address(10, 0, 0, 2), MacAddress::from_host_id(42));
-  mac = arp.lookup(Ipv4Address(10, 0, 0, 2));
-  ASSERT_TRUE(mac.has_value());
-  EXPECT_EQ(*mac, MacAddress::from_host_id(42));
-
-  EXPECT_FALSE(arp.lookup(Ipv4Address(10, 9, 9, 9)).has_value());
+  // A host with a directory resolves every binding in it, its own included.
+  EXPECT_EQ(net.a->directory(), &net.directory);
+  EXPECT_EQ(net.a->resolve(net.a->ip()), net.a->mac());
+  EXPECT_EQ(net.a->resolve(net.b->ip()), net.b->mac());
+  EXPECT_FALSE(net.a->resolve(lone->ip()).has_value());
 }
 
 TEST(AddressDirectory, SharedDirectoryBeatsFullMeshFootprint) {
@@ -58,13 +70,14 @@ TEST(AddressDirectory, SharedDirectoryBeatsFullMeshFootprint) {
   }
   dir.freeze();
 
-  // One host's share of the directory vs. one full-mesh private ArpTable.
-  ArpTable fullmesh;
+  // One host's share of the directory vs. one full-mesh per-host map of the
+  // N-1 other bindings.
+  std::unordered_map<Ipv4Address, MacAddress> fullmesh;
   for (int i = 0; i < kHosts - 1; ++i) {
-    fullmesh.add(Ipv4Address(10, 0, 1, static_cast<std::uint8_t>(i)),
-                 MacAddress::from_host_id(static_cast<std::uint32_t>(i) + 1));
+    fullmesh[Ipv4Address(10, 0, 1, static_cast<std::uint8_t>(i))] =
+        MacAddress::from_host_id(static_cast<std::uint32_t>(i) + 1);
   }
-  EXPECT_LT(dir.memory_bytes() / kHosts, fullmesh.memory_bytes() / 4);
+  EXPECT_LT(dir.memory_bytes() / kHosts, util::heap_bytes(fullmesh) / 4);
 }
 
 }  // namespace

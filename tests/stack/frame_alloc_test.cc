@@ -85,18 +85,30 @@ TEST(FrameAlloc, PooledBuildersAllocateNothingOnceWarm) {
   EXPECT_EQ(pool.stats().allocations(), pool_allocations);  // every build recycled
 }
 
+// The two ends of these tests' traffic: 10.0.0.1 (host id 1) and 10.0.0.2
+// (host id 2).
+AddressDirectory two_addresses() {
+  AddressDirectory directory;
+  directory.add(net::Ipv4Address(10, 0, 0, 1), net::MacAddress::from_host_id(1));
+  directory.add(net::Ipv4Address(10, 0, 0, 2), net::MacAddress::from_host_id(2));
+  directory.freeze();
+  return directory;
+}
+
 // A host whose NIC is attached to no link: a sent frame is built, handed to
 // the NIC and dropped there (tx_dropped), so only the host's own send path
 // is counted.
-std::unique_ptr<Host> detached_host(sim::Simulation& sim) {
+std::unique_ptr<Host> detached_host(sim::Simulation& sim,
+                                    const AddressDirectory& directory) {
   auto host = testutil::make_host(sim, "h", 1, net::Ipv4Address(10, 0, 0, 1));
-  host->arp().add(net::Ipv4Address(10, 0, 0, 2), net::MacAddress::from_host_id(2));
+  host->set_directory(&directory);
   return host;
 }
 
 TEST(FrameAlloc, UdpSendToAllocatesNothing) {
   sim::Simulation sim(1);
-  auto host = detached_host(sim);
+  const AddressDirectory directory = two_addresses();
+  auto host = detached_host(sim, directory);
   UdpSocket* sock = host->udp_open(1000);
   ASSERT_NE(sock, nullptr);
   const std::vector<std::uint8_t> payload(512, 0x42);
@@ -115,8 +127,9 @@ TEST(FrameAlloc, UdpSendToAllocatesNothing) {
 
 TEST(FrameAlloc, ClosedPortRstAllocatesOnlyTheParseCache) {
   sim::Simulation sim(1);
+  const AddressDirectory directory = two_addresses();
   auto target = testutil::make_host(sim, "target", 2, net::Ipv4Address(10, 0, 0, 2));
-  target->arp().add(net::Ipv4Address(10, 0, 0, 1), net::MacAddress::from_host_id(1));
+  target->set_directory(&directory);
   auto& pool = net::BufferPool::instance();
 
   // A data segment to a port nobody listens on; each one draws an RST.

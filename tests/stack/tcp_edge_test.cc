@@ -22,8 +22,8 @@ TEST(TcpEdge, AsymmetricMssUsesTheMinimum) {
   auto b = testutil::make_host(sim, "b", 2, net::Ipv4Address(10, 0, 0, 2), small_mss);
   a->nic().attach(link.a());
   b->nic().attach(link.b());
-  a->arp().add(b->ip(), b->mac());
-  b->arp().add(a->ip(), a->mac());
+  AddressDirectory directory;
+  testutil::share_directory(directory, {a.get(), b.get()});
 
   std::shared_ptr<TcpConnection> server_conn;
   b->tcp_listen(80, [&](std::shared_ptr<TcpConnection> c) { server_conn = c; });

@@ -22,11 +22,11 @@ struct LossyPair {
                                std::move(lossy_nic));
     a->nic().attach(link.a());
     b->nic().attach(link.b());
-    a->arp().add(b->ip(), b->mac());
-    b->arp().add(a->ip(), a->mac());
+    testutil::share_directory(directory, {a.get(), b.get()});
   }
 
   link::Link link;
+  AddressDirectory directory;
   std::unique_ptr<Host> a;
   std::unique_ptr<Host> b;
 };

@@ -58,11 +58,11 @@ struct ReorderPair {
                                std::move(nic));
     a->nic().attach(link.a());
     b->nic().attach(link.b());
-    a->arp().add(b->ip(), b->mac());
-    b->arp().add(a->ip(), a->mac());
+    testutil::share_directory(directory, {a.get(), b.get()});
   }
 
   link::Link link;
+  AddressDirectory directory;
   std::unique_ptr<Host> a;
   std::unique_ptr<Host> b;
 };

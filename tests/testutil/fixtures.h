@@ -1,6 +1,7 @@
 // Shared test topology builders.
 #pragma once
 
+#include <initializer_list>
 #include <memory>
 #include <string>
 #include <vector>
@@ -8,10 +9,21 @@
 #include "link/link.h"
 #include "link/switch.h"
 #include "sim/simulation.h"
+#include "stack/address_directory.h"
 #include "stack/host.h"
 #include "stack/nic.h"
 
 namespace barb::testutil {
+
+// Binds every host's IP to its MAC in `directory`, freezes it and hands it
+// to each of them, as TopologyBuilder::build does for a fabric. The
+// directory must outlive the hosts' traffic.
+inline void share_directory(stack::AddressDirectory& directory,
+                            std::initializer_list<stack::Host*> hosts) {
+  for (stack::Host* h : hosts) directory.add(h->ip(), h->mac());
+  directory.freeze();
+  for (stack::Host* h : hosts) h->set_directory(&directory);
+}
 
 inline std::unique_ptr<stack::Host> make_host(sim::Simulation& sim,
                                               const std::string& name, std::uint32_t id,
@@ -30,11 +42,11 @@ struct TwoHosts {
     b = make_host(sim, "b", 2, net::Ipv4Address(10, 0, 0, 2));
     a->nic().attach(link.a());
     b->nic().attach(link.b());
-    a->arp().add(b->ip(), b->mac());
-    b->arp().add(a->ip(), a->mac());
+    share_directory(directory, {a.get(), b.get()});
   }
 
   link::Link link;
+  stack::AddressDirectory directory;
   std::unique_ptr<stack::Host> a;
   std::unique_ptr<stack::Host> b;
 };
@@ -50,17 +62,16 @@ struct StarNetwork {
                             net::Ipv4Address(10, 0, 0, static_cast<std::uint8_t>(i + 1)));
       host->nic().attach(links.back()->a());
       sw.attach(links.back()->b());
+      directory.add(host->ip(), host->mac());
       hosts.push_back(std::move(host));
     }
-    for (auto& h1 : hosts) {
-      for (auto& h2 : hosts) {
-        if (h1 != h2) h1->arp().add(h2->ip(), h2->mac());
-      }
-    }
+    directory.freeze();
+    for (auto& h : hosts) h->set_directory(&directory);
   }
 
   link::Switch sw;
   std::vector<std::unique_ptr<link::Link>> links;
+  stack::AddressDirectory directory;
   std::vector<std::unique_ptr<stack::Host>> hosts;
 };
 
