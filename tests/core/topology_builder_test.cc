@@ -51,52 +51,56 @@ TEST(TopologyBuilder, LeafSpineSameSpecSameWiring) {
   EXPECT_EQ(wiring_digest(*a), wiring_digest(*b));
 }
 
-// Two shapes: 40 hosts, 16 per leaf, under two spines; and the campus tree,
-// 20 hosts, 8 per leaf, under one spine (the core). Neither host count is a
-// multiple of the leaf size, so the last leaf holds the remainder.
-TEST(TopologyBuilder, LeafSpineInvariants) {
-  for (const int spines : {2, 1}) {
-    SCOPED_TRACE(spines == 1 ? "campus tree" : "two spines");
-    LeafSpineSpec spec;
-    spec.hosts = spines == 1 ? 20 : 40;
-    spec.hosts_per_leaf = spines == 1 ? 8 : 16;
-    spec.spines = spines;
-    const int leaves = (spec.hosts + spec.hosts_per_leaf - 1) / spec.hosts_per_leaf;
-    sim::Simulation sim(1);
-    auto fabric = build_leaf_spine(sim, spec);
+// The invariants every leaf-spine holds. Both shapes below have three
+// leaves and a host count that is not a multiple of the leaf size, so the
+// last leaf holds the remainder.
+void expect_leaf_spine_invariants(int spines, int hosts, int hosts_per_leaf) {
+  LeafSpineSpec spec;
+  spec.hosts = hosts;
+  spec.hosts_per_leaf = hosts_per_leaf;
+  spec.spines = spines;
+  const int leaves = (spec.hosts + spec.hosts_per_leaf - 1) / spec.hosts_per_leaf;
+  sim::Simulation sim(1);
+  auto fabric = build_leaf_spine(sim, spec);
 
-    EXPECT_EQ(fabric->num_hosts(), spec.hosts);
-    EXPECT_EQ(leaves, 3);
-    EXPECT_EQ(fabric->num_switches(), spines + leaves);
-    EXPECT_TRUE(fabric->all_hosts_routed());
-    ASSERT_NE(fabric->directory(), nullptr);
-    EXPECT_TRUE(fabric->directory()->frozen());
-    EXPECT_EQ(fabric->directory()->size(), static_cast<std::size_t>(spec.hosts));
+  EXPECT_EQ(fabric->num_hosts(), spec.hosts);
+  EXPECT_EQ(leaves, 3);
+  EXPECT_EQ(fabric->num_switches(), spines + leaves);
+  EXPECT_TRUE(fabric->all_hosts_routed());
+  ASSERT_NE(fabric->directory(), nullptr);
+  EXPECT_TRUE(fabric->directory()->frozen());
+  EXPECT_EQ(fabric->directory()->size(), static_cast<std::size_t>(spec.hosts));
 
-    // Port degrees: each spine has one trunk per leaf; each leaf has one
-    // trunk per spine plus its hosts.
-    for (int s = 0; s < spines; ++s) {
-      EXPECT_EQ(fabric->fabric_switch(s).name(), "spine" + std::to_string(s));
-      EXPECT_EQ(fabric->fabric_switch(s).num_ports(), leaves);
-    }
-    const int last = spec.hosts - 2 * spec.hosts_per_leaf;
-    EXPECT_EQ(fabric->fabric_switch(spines).name(), "leaf0");
-    EXPECT_EQ(fabric->fabric_switch(spines).num_ports(), spines + spec.hosts_per_leaf);
-    EXPECT_EQ(fabric->fabric_switch(spines + 1).num_ports(), spines + spec.hosts_per_leaf);
-    EXPECT_EQ(fabric->fabric_switch(spines + 2).num_ports(), spines + last);
-
-    // Hosts land on their leaf in declaration order.
-    EXPECT_EQ(fabric->host_switch(0), spines);
-    EXPECT_EQ(fabric->host_switch(spec.hosts_per_leaf - 1), spines);
-    EXPECT_EQ(fabric->host_switch(spec.hosts_per_leaf), spines + 1);
-    EXPECT_EQ(fabric->host_switch(spec.hosts - 1), spines + 2);
-
-    // Fabric switches must not learn or flood (with two spines the paths
-    // are redundant; the tree is preloaded all the same).
-    EXPECT_FALSE(fabric->fabric_switch(0).config().learning);
-    EXPECT_FALSE(fabric->fabric_switch(0).config().flood_unknown);
+  // Port degrees: each spine has one trunk per leaf; each leaf has one
+  // trunk per spine plus its hosts.
+  for (int s = 0; s < spines; ++s) {
+    EXPECT_EQ(fabric->fabric_switch(s).name(), "spine" + std::to_string(s));
+    EXPECT_EQ(fabric->fabric_switch(s).num_ports(), leaves);
   }
+  const int last = spec.hosts - 2 * spec.hosts_per_leaf;
+  EXPECT_EQ(fabric->fabric_switch(spines).name(), "leaf0");
+  EXPECT_EQ(fabric->fabric_switch(spines).num_ports(), spines + spec.hosts_per_leaf);
+  EXPECT_EQ(fabric->fabric_switch(spines + 1).num_ports(), spines + spec.hosts_per_leaf);
+  EXPECT_EQ(fabric->fabric_switch(spines + 2).num_ports(), spines + last);
+
+  // Hosts land on their leaf in declaration order.
+  EXPECT_EQ(fabric->host_switch(0), spines);
+  EXPECT_EQ(fabric->host_switch(spec.hosts_per_leaf - 1), spines);
+  EXPECT_EQ(fabric->host_switch(spec.hosts_per_leaf), spines + 1);
+  EXPECT_EQ(fabric->host_switch(spec.hosts - 1), spines + 2);
+
+  // Fabric switches must not learn or flood (with two spines the paths
+  // are redundant; a one-spine tree is preloaded all the same).
+  EXPECT_FALSE(fabric->fabric_switch(0).config().learning);
+  EXPECT_FALSE(fabric->fabric_switch(0).config().flood_unknown);
 }
+
+// 40 hosts, 16 per leaf, under two spines.
+TEST(TopologyBuilder, LeafSpineInvariants) { expect_leaf_spine_invariants(2, 40, 16); }
+
+// The campus tree is a one-spine leaf-spine: 20 hosts, 8 per edge switch,
+// under one core.
+TEST(TopologyBuilder, CampusTreeInvariants) { expect_leaf_spine_invariants(1, 20, 8); }
 
 TEST(TopologyBuilder, CrossFabricPingWorks) {
   LeafSpineSpec spec;
