@@ -1,6 +1,6 @@
-# Runs benches (the paper figures, the matcher artifacts) in fast mode into a
-# fresh directory and byte-compares every artifact against the committed
-# goldens: each JSON with check_bench_json.py --compare, each CSV with
+# Runs benches (the paper figures, the matcher and fleet artifacts) in fast
+# mode into a fresh directory and byte-compares every artifact against the
+# committed goldens: each JSON with check_bench_json.py --compare, each CSV with
 # `cmake -E compare_files`. Every golden must be reproduced and every written
 # artifact must have a golden.
 #
