@@ -96,7 +96,7 @@ void Testbed::build_hosts() {
 
   TopologyBuilder builder(sim_);
   // The preset keeps the default learning switch (byte-identity with the
-  // wiring it replaced); fleet fabrics preload their FIBs instead.
+  // wiring it replaced); fleet fabric switches are routed instead.
   const int sw = builder.add_switch("switch");
 
   // Policy server host (the testbed's Windows 2000 box) and attacker use

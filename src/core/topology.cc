@@ -1,8 +1,5 @@
 #include "core/topology.h"
 
-#include <algorithm>
-#include <bit>
-#include <deque>
 #include <utility>
 
 #include "util/assert.h"
@@ -121,8 +118,7 @@ MemoryAudit Fabric::memory_audit() const {
   audit.fabric_bytes = sizeof(Fabric) + util::heap_bytes(switches_) +
                        util::heap_bytes(links_) + util::heap_bytes(hosts_) +
                        util::heap_bytes(firewalls_) + util::heap_bytes(host_switch_) +
-                       util::heap_bytes(host_port_) + util::heap_bytes(port_peer_switch_) +
-                       util::heap_bytes(port_host_);
+                       util::heap_bytes(port_peer_switch_) + util::heap_bytes(port_host_);
   for (std::size_t s = 0; s < switches_.size(); ++s) {
     audit.fabric_bytes +=
         util::heap_bytes(port_peer_switch_[s]) + util::heap_bytes(port_host_[s]);
@@ -172,11 +168,11 @@ void Fabric::register_fleet_metrics(telemetry::MetricRegistry& registry) {
 TopologyBuilder::TopologyBuilder(sim::Simulation& sim)
     : fabric_(std::make_unique<Fabric>(sim)) {}
 
-int TopologyBuilder::add_switch(const std::string& name, link::SwitchConfig config) {
+int TopologyBuilder::add_switch(const std::string& name, link::Switch::Route route) {
   BARB_ASSERT(!built_);
   const int index = fabric_->num_switches();
-  fabric_->switches_.push_back(
-      std::make_unique<link::Switch>(fabric_->sim_, name, config));
+  fabric_->switches_.push_back(std::make_unique<link::Switch>(
+      fabric_->sim_, name, link::SwitchConfig{}, std::move(route)));
   fabric_->port_peer_switch_.emplace_back();
   fabric_->port_host_.emplace_back();
   return index;
@@ -197,15 +193,13 @@ int TopologyBuilder::add_host(const HostSpec& spec, int switch_id,
       std::make_unique<link::Link>(fabric_->sim_, link_config));
   link::Link& link = *fabric_->links_.back();
   host->nic().attach(link.a());
-  link::Switch& sw = *fabric_->switches_[static_cast<std::size_t>(switch_id)];
-  const int port = sw.attach(link.b());
+  fabric_->switches_[static_cast<std::size_t>(switch_id)]->attach(link.b());
   fabric_->port_peer_switch_[static_cast<std::size_t>(switch_id)].push_back(-1);
   fabric_->port_host_[static_cast<std::size_t>(switch_id)].push_back(index);
 
   fabric_->hosts_.push_back(std::move(host));
   fabric_->firewalls_.push_back(fw);
   fabric_->host_switch_.push_back(switch_id);
-  fabric_->host_port_.push_back(port);
   return index;
 }
 
@@ -218,15 +212,12 @@ void TopologyBuilder::connect_switches(int a, int b,
   fabric_->links_.push_back(
       std::make_unique<link::Link>(fabric_->sim_, link_config));
   link::Link& link = *fabric_->links_.back();
-  link::Switch& sw_a = *fabric_->switches_[static_cast<std::size_t>(a)];
-  link::Switch& sw_b = *fabric_->switches_[static_cast<std::size_t>(b)];
-  const int port_a = sw_a.attach(link.a());
-  const int port_b = sw_b.attach(link.b());
+  fabric_->switches_[static_cast<std::size_t>(a)]->attach(link.a());
+  fabric_->switches_[static_cast<std::size_t>(b)]->attach(link.b());
   fabric_->port_peer_switch_[static_cast<std::size_t>(a)].push_back(b);
   fabric_->port_host_[static_cast<std::size_t>(a)].push_back(-1);
   fabric_->port_peer_switch_[static_cast<std::size_t>(b)].push_back(a);
   fabric_->port_host_[static_cast<std::size_t>(b)].push_back(-1);
-  trunks_.push_back(Trunk{a, port_a, b, port_b});
 }
 
 std::unique_ptr<Fabric> TopologyBuilder::build() {
@@ -240,62 +231,6 @@ std::unique_ptr<Fabric> TopologyBuilder::build() {
   f.directory_->freeze();
   for (const auto& h : f.hosts_) h->set_directory(f.directory_.get());
 
-  if (!static_routes_) return std::move(fabric_);
-
-  // Static routes: per-switch BFS distances over the trunk graph, then one
-  // pinned FIB entry per (switch, host). Equal-cost trunk choices spread by
-  // destination host index — the deterministic stand-in for ECMP hashing.
-  const int num_switches = f.num_switches();
-  std::vector<std::vector<int>> dist(
-      static_cast<std::size_t>(num_switches),
-      std::vector<int>(static_cast<std::size_t>(num_switches), -1));
-  for (int s = 0; s < num_switches; ++s) {
-    auto& d = dist[static_cast<std::size_t>(s)];
-    d[static_cast<std::size_t>(s)] = 0;
-    std::deque<int> frontier{s};
-    while (!frontier.empty()) {
-      const int cur = frontier.front();
-      frontier.pop_front();
-      const auto& peers = f.port_peer_switch_[static_cast<std::size_t>(cur)];
-      for (const int peer : peers) {
-        if (peer < 0) continue;
-        if (d[static_cast<std::size_t>(peer)] >= 0) continue;
-        d[static_cast<std::size_t>(peer)] = d[static_cast<std::size_t>(cur)] + 1;
-        frontier.push_back(peer);
-      }
-    }
-  }
-
-  for (int h = 0; h < f.num_hosts(); ++h) {
-    const net::MacAddress mac = f.hosts_[static_cast<std::size_t>(h)]->mac();
-    const int target_sw = f.host_switch_[static_cast<std::size_t>(h)];
-    for (int s = 0; s < num_switches; ++s) {
-      int port;
-      if (s == target_sw) {
-        port = f.host_port_[static_cast<std::size_t>(h)];
-      } else {
-        const int want =
-            dist[static_cast<std::size_t>(s)][static_cast<std::size_t>(target_sw)];
-        BARB_ASSERT_MSG(want > 0, "fabric is disconnected");
-        // Trunk ports on s whose far switch is one hop closer to the target.
-        std::vector<int> candidates;
-        const auto& peers = f.port_peer_switch_[static_cast<std::size_t>(s)];
-        for (std::size_t p = 0; p < peers.size(); ++p) {
-          const int peer = peers[p];
-          if (peer < 0) continue;
-          if (dist[static_cast<std::size_t>(peer)]
-                  [static_cast<std::size_t>(target_sw)] == want - 1) {
-            candidates.push_back(static_cast<int>(p));
-          }
-        }
-        BARB_ASSERT(!candidates.empty());
-        port = candidates[static_cast<std::size_t>(h) % candidates.size()];
-      }
-      const bool ok =
-          f.switches_[static_cast<std::size_t>(s)]->preload(mac, port);
-      BARB_ASSERT_MSG(ok, "switch FIB too small for pinned routes");
-    }
-  }
   return std::move(fabric_);
 }
 
@@ -309,26 +244,27 @@ net::Ipv4Address fleet_ip(int host_index) {
                           static_cast<std::uint8_t>(n & 0xff));
 }
 
+// Host h's MAC is 02:00 followed by h + 1 in 32 bits (from_host_id), so the
+// fabric switches' routes read the host index straight out of it.
 net::MacAddress fleet_mac(int host_index) {
   return net::MacAddress::from_host_id(static_cast<std::uint32_t>(host_index) + 1);
 }
 
-namespace {
-
-link::SwitchConfig fabric_switch_config(int hosts) {
-  link::SwitchConfig cfg;
-  cfg.learning = false;
-  cfg.flood_unknown = false;
-  // Room for one pinned route per host at <= 25% load, so preloads cannot
-  // exhaust a probe window.
-  cfg.fib_capacity = std::max<std::size_t>(
-      1024, std::bit_ceil(static_cast<std::size_t>(hosts) * 4));
-  return cfg;
+int fleet_host_index(const net::MacAddress& mac, int hosts) {
+  const auto& b = mac.bytes();
+  if (b[0] != 0x02 || b[1] != 0x00) return -1;
+  const std::uint32_t id = static_cast<std::uint32_t>(b[2]) << 24 |
+                           static_cast<std::uint32_t>(b[3]) << 16 |
+                           static_cast<std::uint32_t>(b[4]) << 8 | b[5];
+  if (id < 1 || id > static_cast<std::uint32_t>(hosts)) return -1;
+  return static_cast<int>(id - 1);
 }
 
-HostSpec fleet_host_spec(const std::string& prefix, int index, NicSpec nic) {
+namespace {
+
+HostSpec fleet_host_spec(int index, NicSpec nic) {
   HostSpec spec;
-  spec.name = prefix + std::to_string(index);
+  spec.name = "h" + std::to_string(index);
   spec.ip = fleet_ip(index);
   spec.mac = fleet_mac(index);
   spec.nic = std::move(nic);
@@ -340,26 +276,40 @@ HostSpec fleet_host_spec(const std::string& prefix, int index, NicSpec nic) {
 std::unique_ptr<Fabric> build_leaf_spine(sim::Simulation& sim,
                                          const LeafSpineSpec& spec) {
   BARB_ASSERT(spec.hosts >= 1 && spec.hosts_per_leaf >= 1 && spec.spines >= 1);
-  const int leaves = (spec.hosts + spec.hosts_per_leaf - 1) / spec.hosts_per_leaf;
+  const int hosts = spec.hosts;
+  const int per_leaf = spec.hosts_per_leaf;
+  const int spines = spec.spines;
+  const int leaves = (hosts + per_leaf - 1) / per_leaf;
 
+  // Port order, fixed by the declarations below: spine port l is the trunk
+  // to leaf l; leaf port s is the trunk to spine s, and leaf port
+  // spines + i its i-th host. Host h sits on leaf h / per_leaf. A leaf sends
+  // any other leaf's host up spine h % spines, so flows to different hosts
+  // spread over the spines (the deterministic stand-in for ECMP hashing).
   TopologyBuilder builder(sim);
-  builder.enable_static_routes();
-  const link::SwitchConfig sw_cfg = fabric_switch_config(spec.hosts);
-  std::vector<int> spines;
-  for (int s = 0; s < spec.spines; ++s) {
-    spines.push_back(builder.add_switch("spine" + std::to_string(s), sw_cfg));
+  for (int s = 0; s < spines; ++s) {
+    builder.add_switch("spine" + std::to_string(s),
+                       [hosts, per_leaf](const net::MacAddress& dst) {
+                         const int h = fleet_host_index(dst, hosts);
+                         return h < 0 ? -1 : h / per_leaf;
+                       });
   }
   int host_index = 0;
   for (int l = 0; l < leaves; ++l) {
-    const int leaf = builder.add_switch("leaf" + std::to_string(l), sw_cfg);
-    for (const int spine : spines) {
-      builder.connect_switches(leaf, spine, spec.trunk_link);
+    const int leaf = builder.add_switch(
+        "leaf" + std::to_string(l),
+        [hosts, per_leaf, spines, l](const net::MacAddress& dst) {
+          const int h = fleet_host_index(dst, hosts);
+          if (h < 0) return -1;
+          return h / per_leaf == l ? spines + h % per_leaf : h % spines;
+        });
+    for (int s = 0; s < spines; ++s) {
+      builder.connect_switches(leaf, s, spec.trunk_link);
     }
-    for (int i = 0; i < spec.hosts_per_leaf && host_index < spec.hosts; ++i) {
+    for (int i = 0; i < per_leaf && host_index < hosts; ++i) {
       const NicSpec nic =
           spec.nic_for ? spec.nic_for(host_index) : spec.default_nic;
-      builder.add_host(fleet_host_spec(spec.name_prefix, host_index, nic), leaf,
-                       spec.access_link);
+      builder.add_host(fleet_host_spec(host_index, nic), leaf, spec.access_link);
       ++host_index;
     }
   }

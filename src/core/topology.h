@@ -2,21 +2,24 @@
 //
 // The paper's Figure 1 testbed is four hosts on one switch; ROADMAP item 2
 // is the same per-host enforcement argument at fleet scale. TopologyBuilder
-// generalizes the wiring into data: callers declare switches, hosts (each
+// generalizes the wiring into data: callers declare switches (each a
+// learning switch, or routed by a function it is built with), hosts (each
 // with its own NIC firewall profile), access links and trunks, and build()
-// returns a Fabric owning everything, with address resolution installed and
-// — for multi-switch fabrics — static routes preloaded into every switch's
-// FIB. The classic Testbed is a thin preset over this builder, and its
-// artifacts are byte-identical to the hard-coded wiring it replaced.
+// returns a Fabric owning everything, with address resolution installed.
+// The classic Testbed is a thin preset over this builder, and its artifacts
+// are byte-identical to the hard-coded wiring it replaced.
 //
 // Fabric shapes:
-//  * single switch — the paper's testbed, any host count (star).
+//  * single switch — the paper's testbed, any host count (star), on one
+//    learning switch.
 //  * leaf-spine — hosts under leaf switches, every leaf trunked to every
-//    spine. Redundant paths make L2 flooding a loop storm, so the builder
-//    preloads pinned FIB routes (remote traffic spreads over spines by
-//    destination index), disables learning, and disables unknown flooding.
-//    With one spine it is the campus tree shape (edge switches under one
-//    core), loop-free but preloaded all the same.
+//    spine. Redundant paths make L2 flooding a loop storm, so every leaf
+//    and spine is routed instead: fabric MACs encode the host index
+//    (fleet_mac), and each switch computes its egress port from it — a
+//    spine sends to the host's leaf, a leaf to its own host's access port,
+//    or up the spine picked by destination index for any other host. No
+//    switch learns, floods or holds a FIB. With one spine it is the campus
+//    tree shape (edge switches under one core), routed the same way.
 //
 // Address resolution has one path: build() freezes one AddressDirectory
 // holding every host's binding (O(total hosts) memory) and hands it to every
@@ -85,7 +88,7 @@ struct MemoryAudit {
   std::size_t firewall_bytes = 0;     // NIC firewall cards: rules, the
                                       // backend's tables, ring queue, guard
   std::size_t link_bytes = 0;         // Link objects and their port FIFOs
-  std::size_t switch_fib_bytes = 0;   // bounded FIBs, summed over switches
+  std::size_t switch_fib_bytes = 0;   // learning switches' bounded FIBs
   std::size_t switch_port_bytes = 0;  // Switch objects, port tables and sinks
   std::size_t host_object_bytes = 0;  // the Host/Nic objects themselves
   std::size_t fabric_bytes = 0;       // the Fabric and its index tables
@@ -129,9 +132,17 @@ class Fabric {
 
   const stack::AddressDirectory* directory() const { return directory_.get(); }
 
-  // Walks the preloaded FIBs from every switch: true iff every switch can
-  // reach every host's MAC (diagnostic for fabric invariant tests).
+  // Follows every switch's forwarding decision (lookup()) hop by hop: true
+  // iff every switch reaches every host's MAC (diagnostic for fabric
+  // invariant tests and the fuzzer).
   bool all_hosts_routed() const;
+
+  // Per switch, per port: the switch a trunk port leads to, or -1.
+  const std::vector<std::vector<int>>& port_peer_switch() const {
+    return port_peer_switch_;
+  }
+  // Per switch, per port: the host an access port leads to, or -1.
+  const std::vector<std::vector<int>>& port_host() const { return port_host_; }
 
   MemoryAudit memory_audit() const;
 
@@ -151,11 +162,10 @@ class Fabric {
   std::vector<std::unique_ptr<stack::Host>> hosts_;
   std::vector<firewall::FirewallNic*> firewalls_;  // per host; null when plain
   std::vector<int> host_switch_;                   // per host: switch index
-  std::vector<int> host_port_;                     // per host: port on switch
   std::shared_ptr<stack::AddressDirectory> directory_;
   // Per switch: port index -> peer switch index (trunks) or -1; and port
   // index -> host index (access ports) or -1. Filled as links attach; used
-  // for route computation and the reachability diagnostic.
+  // by the reachability diagnostic.
   std::vector<std::vector<int>> port_peer_switch_;
   std::vector<std::vector<int>> port_host_;
 };
@@ -164,8 +174,9 @@ class TopologyBuilder {
  public:
   explicit TopologyBuilder(sim::Simulation& sim);
 
-  // Declares a switch; returns its index.
-  int add_switch(const std::string& name, link::SwitchConfig config = {});
+  // Declares a switch; returns its index. Without a route it is a learning
+  // switch; with one it forwards only where the route says (link/switch.h).
+  int add_switch(const std::string& name, link::Switch::Route route = {});
 
   // Declares a host attached to `switch_id` over `link_config`; returns the
   // host index. The link is created immediately, so switch port numbering
@@ -176,24 +187,12 @@ class TopologyBuilder {
   // Declares a trunk between two switches.
   void connect_switches(int a, int b, const link::LinkConfig& link_config);
 
-  // Preload pinned FIB routes for every host into every switch at build()
-  // (required for fabrics with redundant paths; they must also disable
-  // learning/flooding via their SwitchConfig). Routes spread equal-cost
-  // trunk choices by destination host index.
-  void enable_static_routes() { static_routes_ = true; }
-
-  // Freezes the shared address directory, hands it to every host, preloads
-  // the routes and returns the fabric.
+  // Freezes the shared address directory, hands it to every host and
+  // returns the fabric.
   std::unique_ptr<Fabric> build();
 
  private:
-  struct Trunk {
-    int sw_a, port_a, sw_b, port_b;
-  };
-
   std::unique_ptr<Fabric> fabric_;
-  std::vector<Trunk> trunks_;
-  bool static_routes_ = false;
   bool built_ = false;
 };
 
@@ -221,7 +220,6 @@ struct LeafSpineSpec {
   // Ignored: every link runs the one delivery engine (link/link.h). Kept
   // only because perfbench/driver.cc still assigns it.
   bool batched_links = true;
-  std::string name_prefix = "h";
 };
 
 std::unique_ptr<Fabric> build_leaf_spine(sim::Simulation& sim,
@@ -230,5 +228,8 @@ std::unique_ptr<Fabric> build_leaf_spine(sim::Simulation& sim,
 // IP/MAC assignment shared by the presets (host index -> 10.x.y.z / MAC).
 net::Ipv4Address fleet_ip(int host_index);
 net::MacAddress fleet_mac(int host_index);
+// The inverse of fleet_mac on a fabric of `hosts` hosts: the host index, or
+// -1 for any MAC that is not one of the fabric's hosts.
+int fleet_host_index(const net::MacAddress& mac, int hosts);
 
 }  // namespace barb::core

@@ -30,8 +30,10 @@ std::uint64_t fib_key(const net::MacAddress& mac) {
 
 }  // namespace
 
-Switch::Switch(sim::Simulation& sim, std::string name, SwitchConfig config)
-    : sim_(sim), name_(std::move(name)), config_(config) {
+Switch::Switch(sim::Simulation& sim, std::string name, SwitchConfig config,
+               Route route)
+    : sim_(sim), name_(std::move(name)), config_(config), route_(std::move(route)) {
+  if (route_) return;  // a routed switch holds no FIB
   const std::size_t capacity =
       std::bit_ceil(std::max<std::size_t>(config_.fib_capacity, 2 * kProbeWindow));
   fib_.resize(capacity);
@@ -61,12 +63,13 @@ std::size_t Switch::home_slot(std::uint64_t key) const {
 }
 
 int Switch::lookup(const net::MacAddress& mac) const {
+  if (route_) return route_(mac);
   const std::uint64_t key = fib_key(mac);
   const std::size_t home = home_slot(key);
   for (std::size_t i = 0; i < kProbeWindow; ++i) {
     const FibEntry& entry = fib_[(home + i) & fib_mask_];
     if (entry.key != key) continue;
-    if (!entry.pinned && sim_.now() - entry.learned > config_.mac_table_aging) {
+    if (sim_.now() - entry.learned > config_.mac_table_aging) {
       return -1;  // aged out; the slot stays until relearned or evicted
     }
     return entry.port;
@@ -78,12 +81,11 @@ void Switch::learn(const net::MacAddress& mac, int port) {
   const std::uint64_t key = fib_key(mac);
   const std::size_t home = home_slot(key);
   std::size_t empty_slot = fib_.size();   // sentinel: none found
-  std::size_t victim_slot = fib_.size();  // stalest unpinned in the window
+  std::size_t victim_slot = fib_.size();  // stalest entry in the window
   for (std::size_t i = 0; i < kProbeWindow; ++i) {
     const std::size_t slot = (home + i) & fib_mask_;
     FibEntry& entry = fib_[slot];
     if (entry.key == key) {
-      if (entry.pinned) return;  // static topology entries win over learning
       entry.port = port;
       entry.learned = sim_.now();
       return;
@@ -92,52 +94,18 @@ void Switch::learn(const net::MacAddress& mac, int port) {
       if (empty_slot == fib_.size()) empty_slot = slot;
       continue;
     }
-    if (!entry.pinned &&
-        (victim_slot == fib_.size() || entry.learned < fib_[victim_slot].learned)) {
+    if (victim_slot == fib_.size() || entry.learned < fib_[victim_slot].learned) {
       victim_slot = slot;
     }
   }
   std::size_t slot = empty_slot;
   if (slot == fib_.size()) {
-    if (victim_slot == fib_.size()) return;  // window full of pinned entries
-    slot = victim_slot;
+    slot = victim_slot;  // window full: replace its stalest entry
     ++stats_.fib_evictions;
   } else {
     ++fib_live_;
   }
-  fib_[slot] = FibEntry{key, port, false, sim_.now()};
-}
-
-bool Switch::preload(const net::MacAddress& mac, int port) {
-  const std::uint64_t key = fib_key(mac);
-  const std::size_t home = home_slot(key);
-  std::size_t empty_slot = fib_.size();
-  std::size_t victim_slot = fib_.size();
-  for (std::size_t i = 0; i < kProbeWindow; ++i) {
-    const std::size_t slot = (home + i) & fib_mask_;
-    FibEntry& entry = fib_[slot];
-    if (entry.key == key) {
-      entry.port = port;
-      entry.pinned = true;
-      entry.learned = sim_.now();
-      return true;
-    }
-    if (entry.key == 0) {
-      if (empty_slot == fib_.size()) empty_slot = slot;
-    } else if (!entry.pinned && victim_slot == fib_.size()) {
-      victim_slot = slot;
-    }
-  }
-  std::size_t slot = empty_slot;
-  if (slot == fib_.size()) {
-    if (victim_slot == fib_.size()) return false;
-    slot = victim_slot;
-    ++stats_.fib_evictions;
-  } else {
-    ++fib_live_;
-  }
-  fib_[slot] = FibEntry{key, port, true, sim_.now()};
-  return true;
+  fib_[slot] = FibEntry{key, port, sim_.now()};
 }
 
 void Switch::handle_frame(int ingress, net::Packet pkt) {
@@ -147,8 +115,8 @@ void Switch::handle_frame(int ingress, net::Packet pkt) {
   if (view == nullptr) return;
   const net::EthernetHeader& eth = view->eth;
 
-  // Learn the source address on the ingress port.
-  if (config_.learning && !eth.src.is_multicast()) {
+  // A learning switch learns the source address on the ingress port.
+  if (!route_ && !eth.src.is_multicast()) {
     learn(eth.src, ingress);
   }
 
@@ -172,9 +140,8 @@ void Switch::handle_frame(int ingress, net::Packet pkt) {
     return;
   }
 
-  if (!config_.flood_unknown) {
-    // Redundant-path fabrics run with a fully preloaded FIB and flooding
-    // off; an unknown destination is a misconfiguration, not a broadcast.
+  if (route_) {
+    // A routed switch never floods: redundant-path fabrics would loop.
     ++stats_.no_route_drops;
     return;
   }

@@ -38,11 +38,23 @@ std::atomic<std::int64_t> g_live_connections{0};
 
 // Fixed advertised receive window (no window scaling, as in the paper era).
 constexpr std::uint16_t kReceiveWindow = 65535;
+// Retransmission timer bounds (RFC 6298) and the timer before the first RTT
+// sample.
+constexpr sim::Duration kMinRto = sim::Duration::milliseconds(200);
+constexpr sim::Duration kMaxRto = sim::Duration::seconds(60);
+constexpr sim::Duration kInitialRto = sim::Duration::seconds(1);
+constexpr sim::Duration kDelayedAck = sim::Duration::milliseconds(40);
+// Shortened from the usual 2*MSL (see tcp.h).
+constexpr sim::Duration kTimeWait = sim::Duration::seconds(1);
+// A connection gives up after this many consecutive timeouts of its SYN
+// (or SYN-ACK), and of its data.
+constexpr int kSynRetries = 5;
+constexpr int kRtoRetries = 10;
 }  // namespace
 
 TcpConnection::TcpConnection(TcpLayer& layer, const net::FiveTuple& key,
-                             TcpConfig config)
-    : layer_(layer), key_(key), cfg_(config) {
+                             std::uint16_t local_mss)
+    : layer_(layer), key_(key), local_mss_(local_mss) {
   g_live_connections.fetch_add(1, std::memory_order_relaxed);
 }
 
@@ -71,7 +83,7 @@ std::size_t TcpConnection::unsent_bytes() const {
 
 std::size_t TcpConnection::send_space() const {
   if (fin_queued_ || state_ == TcpState::kClosed) return 0;
-  return cfg_.send_buffer_cap - std::min(cfg_.send_buffer_cap, send_buf_.size());
+  return kTcpSendBufferBytes - std::min(kTcpSendBufferBytes, send_buf_.size());
 }
 
 std::size_t TcpConnection::send(std::span<const std::uint8_t> data) {
@@ -132,7 +144,7 @@ void TcpConnection::start_active_open() {
   h.flags = TcpFlags::kSyn;
   h.seq = iss_;
   h.window = kReceiveWindow;
-  h.mss = cfg_.mss;
+  h.mss = local_mss_;
   layer_.send_segment(key_, h, {});
   ++stats_.segments_sent;
   arm_rtx_timer();
@@ -148,14 +160,14 @@ void TcpConnection::start_passive_open(const net::TcpHeader& syn) {
   snd_max_ = snd_nxt_;
   send_buf_seq_ = iss_ + 1;
   snd_wnd_ = syn.window;
-  mss_ = std::min(cfg_.mss, syn.mss.value_or(536));
+  mss_ = std::min(local_mss_, syn.mss.value_or(536));
   state_ = TcpState::kSynRcvd;
   net::TcpHeader h;
   h.flags = TcpFlags::kSyn | TcpFlags::kAck;
   h.seq = iss_;
   h.ack = rcv_nxt_;
   h.window = kReceiveWindow;
-  h.mss = cfg_.mss;
+  h.mss = local_mss_;
   layer_.send_segment(key_, h, {});
   ++stats_.segments_sent;
   arm_rtx_timer();
@@ -188,7 +200,7 @@ void TcpConnection::handle_syn_sent(const net::TcpHeader& h) {
     irs_ = h.seq;
     rcv_nxt_ = h.seq + 1;
     snd_wnd_ = h.window;
-    mss_ = std::min(cfg_.mss, h.mss.value_or(536));
+    mss_ = std::min(local_mss_, h.mss.value_or(536));
     enter_established();
     send_ack_now();
     output();
@@ -199,14 +211,14 @@ void TcpConnection::handle_syn_sent(const net::TcpHeader& h) {
     irs_ = h.seq;
     rcv_nxt_ = h.seq + 1;
     snd_wnd_ = h.window;
-    mss_ = std::min(cfg_.mss, h.mss.value_or(536));
+    mss_ = std::min(local_mss_, h.mss.value_or(536));
     state_ = TcpState::kSynRcvd;
     net::TcpHeader out;
     out.flags = TcpFlags::kSyn | TcpFlags::kAck;
     out.seq = iss_;
     out.ack = rcv_nxt_;
     out.window = kReceiveWindow;
-    out.mss = cfg_.mss;
+    out.mss = local_mss_;
     layer_.send_segment(key_, out, {});
     ++stats_.segments_sent;
     arm_rtx_timer();
@@ -248,7 +260,7 @@ void TcpConnection::handle_segment(const net::TcpHeader& h,
       out.seq = iss_;
       out.ack = rcv_nxt_;
       out.window = kReceiveWindow;
-      out.mss = cfg_.mss;
+      out.mss = local_mss_;
       layer_.send_segment(key_, out, {});
       ++stats_.segments_sent;
     }
@@ -536,7 +548,7 @@ void TcpConnection::send_ack_now() {
 void TcpConnection::schedule_delayed_ack() {
   if (delack_timer_.pending()) return;
   delack_timer_ = layer_.host().simulation().schedule(
-      cfg_.delayed_ack, [w = weak_from_this()] {
+      kDelayedAck, [w = weak_from_this()] {
         if (auto self = w.lock()) self->send_ack_now();
       });
 }
@@ -566,17 +578,17 @@ void TcpConnection::arm_rtx_timer() {
 }
 
 sim::Duration TcpConnection::current_rto() const {
-  sim::Duration base = cfg_.initial_rto;
+  sim::Duration base = kInitialRto;
   if (rtt_valid_) {
     const double rto_s = srtt_ + std::max(4.0 * rttvar_, 0.01);
     base = sim::Duration::from_seconds(rto_s);
   }
-  base = std::max(base, cfg_.min_rto);
+  base = std::max(base, kMinRto);
   for (int i = 0; i < backoff_; ++i) {
     base = base * 2;
-    if (base >= cfg_.max_rto) break;
+    if (base >= kMaxRto) break;
   }
-  return std::min(base, cfg_.max_rto);
+  return std::min(base, kMaxRto);
 }
 
 void TcpConnection::update_rtt(double sample_seconds) {
@@ -594,7 +606,7 @@ void TcpConnection::on_rto() {
   ++stats_.timeouts;
 
   if (state_ == TcpState::kSynSent || state_ == TcpState::kSynRcvd) {
-    if (++consecutive_timeouts_ > cfg_.syn_retries) {
+    if (++consecutive_timeouts_ > kSynRetries) {
       to_closed(true);
       return;
     }
@@ -609,7 +621,7 @@ void TcpConnection::on_rto() {
       h.ack = rcv_nxt_;
     }
     h.window = kReceiveWindow;
-    h.mss = cfg_.mss;
+    h.mss = local_mss_;
     layer_.send_segment(key_, h, {});
     ++stats_.segments_sent;
     ++stats_.retransmissions;
@@ -619,7 +631,7 @@ void TcpConnection::on_rto() {
 
   if (flight_size() == 0) return;  // spurious
 
-  if (++consecutive_timeouts_ > cfg_.rto_retries) {
+  if (++consecutive_timeouts_ > kRtoRetries) {
     to_closed(true);
     return;
   }
@@ -643,7 +655,7 @@ void TcpConnection::enter_time_wait() {
   delack_timer_.cancel();
   timewait_timer_.cancel();
   timewait_timer_ = layer_.host().simulation().schedule(
-      cfg_.time_wait, [w = weak_from_this()] {
+      kTimeWait, [w = weak_from_this()] {
         if (auto self = w.lock()) self->to_closed(false);
       });
 }
@@ -669,12 +681,6 @@ void TcpConnection::to_closed(bool reset) {
 }
 
 // -------------------------------------------------------------------- layer
-
-TcpConfig TcpLayer::make_config() const {
-  TcpConfig cfg;
-  cfg.mss = host_.config().mss;
-  return cfg;
-}
 
 void TcpLayer::send_segment(const net::FiveTuple& key, net::TcpHeader header,
                             std::span<const std::uint8_t> payload) {
@@ -713,7 +719,7 @@ void TcpLayer::handle_segment(const net::FrameView& v) {
         return;
       }
       auto conn = std::shared_ptr<TcpConnection>(
-          new TcpConnection(*this, key, make_config()));
+          new TcpConnection(*this, key, host_.config().mss));
       conn->accept_pending_ = true;
       conn->backlog_listener_ = listener;
       ++listener->half_open_;
@@ -783,7 +789,7 @@ std::shared_ptr<TcpConnection> TcpLayer::connect(net::Ipv4Address dst,
   if (connections_.contains(key)) return nullptr;
 
   auto conn =
-      std::shared_ptr<TcpConnection>(new TcpConnection(*this, key, make_config()));
+      std::shared_ptr<TcpConnection>(new TcpConnection(*this, key, host_.config().mss));
   connections_.emplace(key, conn);
   conn->start_active_open();
   return conn;

@@ -61,17 +61,8 @@ enum class TcpState {
 
 const char* to_string(TcpState state);
 
-struct TcpConfig {
-  std::uint16_t mss = 1460;
-  std::size_t send_buffer_cap = 256 * 1024;
-  sim::Duration min_rto = sim::Duration::milliseconds(200);
-  sim::Duration max_rto = sim::Duration::seconds(60);
-  sim::Duration initial_rto = sim::Duration::seconds(1);
-  sim::Duration delayed_ack = sim::Duration::milliseconds(40);
-  sim::Duration time_wait = sim::Duration::seconds(1);
-  int syn_retries = 5;
-  int rto_retries = 10;  // give up after this many consecutive timeouts
-};
+// Bytes a connection's send buffer holds; send() accepts no more.
+inline constexpr std::size_t kTcpSendBufferBytes = 256 * 1024;
 
 struct TcpConnectionStats {
   std::uint64_t segments_sent = 0;
@@ -135,7 +126,8 @@ class TcpConnection : public std::enable_shared_from_this<TcpConnection> {
  private:
   friend class TcpLayer;
 
-  TcpConnection(TcpLayer& layer, const net::FiveTuple& key, TcpConfig config);
+  // `local_mss` is the MSS this end advertises (HostConfig::mss).
+  TcpConnection(TcpLayer& layer, const net::FiveTuple& key, std::uint16_t local_mss);
 
   void start_active_open();
   void start_passive_open(const net::TcpHeader& syn);
@@ -167,7 +159,7 @@ class TcpConnection : public std::enable_shared_from_this<TcpConnection> {
 
   TcpLayer& layer_;
   net::FiveTuple key_;
-  TcpConfig cfg_;
+  std::uint16_t local_mss_;
   TcpState state_ = TcpState::kClosed;
 
   // Send side. send_buf_ holds payload bytes starting at sequence
@@ -282,7 +274,6 @@ class TcpLayer {
   friend class TcpListener;
 
   Host& host() { return host_; }
-  TcpConfig make_config() const;
   void notify_accept(const std::shared_ptr<TcpConnection>& conn);
   // Builds and sends one segment for a local-perspective tuple.
   void send_segment(const net::FiveTuple& key, net::TcpHeader header,

@@ -2,7 +2,10 @@
 //
 // Experiments run millions of simulated packets; logging defaults to WARN so
 // the hot path stays quiet. Components log through BARB_LOG(level, ...) with
-// printf-style formatting. The sink is a global because log output is
+// printf-style formatting; a line reads "[LEVEL] <message>", and the message
+// names its component. Lines carry no source path or line number, so a
+// run's output does not depend on where the tree was checked out or on
+// edits elsewhere in the file. The sink is a global because log output is
 // process-wide diagnostics, not simulation state.
 #pragma once
 
@@ -25,10 +28,9 @@ class Logger {
   LogLevel level() const { return level_.load(std::memory_order_relaxed); }
   bool enabled(LogLevel level) const { return level >= this->level(); }
 
-  void logf(LogLevel level, const char* file, int line, const char* fmt, ...)
-      __attribute__((format(printf, 5, 6))) {
+  void logf(LogLevel level, const char* fmt, ...) __attribute__((format(printf, 3, 4))) {
     if (!enabled(level)) return;
-    std::fprintf(stderr, "[%s] %s:%d: ", level_name(level), file, line);
+    std::fprintf(stderr, "[%s] ", level_name(level));
     va_list args;
     va_start(args, fmt);
     std::vfprintf(stderr, fmt, args);
@@ -57,10 +59,10 @@ class Logger {
 
 }  // namespace barb
 
-#define BARB_LOG(level, ...)                                                  \
-  do {                                                                        \
-    if (::barb::Logger::instance().enabled(level))                           \
-      ::barb::Logger::instance().logf(level, __FILE__, __LINE__, __VA_ARGS__); \
+#define BARB_LOG(level, ...)                                 \
+  do {                                                       \
+    if (::barb::Logger::instance().enabled(level))           \
+      ::barb::Logger::instance().logf(level, __VA_ARGS__);   \
   } while (0)
 
 #define BARB_TRACE(...) BARB_LOG(::barb::LogLevel::kTrace, __VA_ARGS__)

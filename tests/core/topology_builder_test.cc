@@ -12,6 +12,7 @@
 #include "apps/ping.h"
 #include "core/testbed.h"
 #include "sim/simulation.h"
+#include "testutil/reference_routes.h"
 #include "testutil/tcp_helpers.h"
 
 namespace barb::core {
@@ -89,10 +90,12 @@ void expect_leaf_spine_invariants(int spines, int hosts, int hosts_per_leaf) {
   EXPECT_EQ(fabric->host_switch(spec.hosts_per_leaf), spines + 1);
   EXPECT_EQ(fabric->host_switch(spec.hosts - 1), spines + 2);
 
-  // Fabric switches must not learn or flood (with two spines the paths
-  // are redundant; a one-spine tree is preloaded all the same).
-  EXPECT_FALSE(fabric->fabric_switch(0).config().learning);
-  EXPECT_FALSE(fabric->fabric_switch(0).config().flood_unknown);
+  // Fabric switches are routed (with two spines the paths are redundant; a
+  // one-spine tree is routed all the same): none holds a FIB.
+  EXPECT_EQ(fabric->memory_audit().switch_fib_bytes, 0u);
+  for (int s = 0; s < fabric->num_switches(); ++s) {
+    EXPECT_EQ(fabric->fabric_switch(s).fib_size(), 0u) << s;
+  }
 }
 
 // 40 hosts, 16 per leaf, under two spines.
@@ -122,7 +125,7 @@ TEST(TopologyBuilder, CrossFabricPingWorks) {
 }
 
 // A 200 kB TCP transfer from leaf 0 to leaf 1 crosses the spine through
-// trunks and pinned routes: every byte arrives intact, the stream closes,
+// trunks and routed switches: every byte arrives intact, the stream closes,
 // and the simulation drains.
 TEST(TopologyBuilder, CrossSpineTcpTransferDeliversEveryByte) {
   sim::Simulation sim(7);
@@ -157,7 +160,7 @@ TEST(TopologyBuilder, MemoryAuditCoversEveryHost) {
   const MemoryAudit audit = fabric->memory_audit();
   EXPECT_EQ(audit.hosts, 64u);
   EXPECT_GT(audit.directory_bytes, 0u);
-  EXPECT_GT(audit.switch_fib_bytes, 0u);
+  EXPECT_EQ(audit.switch_fib_bytes, 0u);  // routed switches hold no FIB
   EXPECT_GT(audit.host_object_bytes, 0u);
   EXPECT_GT(audit.per_host_bytes(), 0u);
 
@@ -203,7 +206,70 @@ TEST(TopologyBuilder, FleetMetricsRegisterAndSample) {
   EXPECT_EQ(registry.value("fleet.hosts"), 16.0);
   EXPECT_GT(registry.value("mem.per_host_bytes"), 0.0);
   EXPECT_GT(registry.value("mem.total_bytes"), 0.0);
-  EXPECT_GT(registry.value("switch.fib_entries", "switch=spine0"), 0.0);
+  EXPECT_EQ(registry.value("mem.switch_fib_bytes"), 0.0);
+  for (const std::string sw : {"switch=spine0", "switch=spine1", "switch=leaf0"}) {
+    EXPECT_EQ(registry.value("switch.fib_entries", sw), 0.0) << sw;
+    EXPECT_EQ(registry.value("switch.fib_bytes", sw), 0.0) << sw;
+  }
+}
+
+// Every leaf-spine switch computes the port the shortest-path reference
+// picks (the rule the builder used to preload into per-switch FIBs), for
+// every host, and refuses every MAC that is not one of the fabric's hosts.
+// Shapes: one to four spines over a single host, a single partly filled
+// leaf, a single full leaf, partly filled last leaves (100 hosts by 7,
+// 40 by 16) and 1,024 hosts by 16 (the fleet1024 shape at two spines).
+TEST(TopologyBuilder, LeafSpineRoutesMatchShortestPathReference) {
+  struct Shape {
+    int hosts, hosts_per_leaf;
+  };
+  const Shape shapes[] = {{1, 1}, {1, 16}, {5, 16}, {16, 16}, {100, 7}, {40, 16}, {1024, 16}};
+  for (int spines = 1; spines <= 4; ++spines) {
+    for (const Shape& shape : shapes) {
+      LeafSpineSpec spec;
+      spec.hosts = shape.hosts;
+      spec.hosts_per_leaf = shape.hosts_per_leaf;
+      spec.spines = spines;
+      sim::Simulation sim(1);
+      auto fabric = build_leaf_spine(sim, spec);
+      const auto routes = testutil::reference::shortest_path_routes(*fabric);
+      const std::string where = std::to_string(spines) + " spines, " +
+                                std::to_string(shape.hosts) + " hosts by " +
+                                std::to_string(shape.hosts_per_leaf);
+      const net::MacAddress refused[] = {
+          net::MacAddress::broadcast(),
+          net::MacAddress::from_host_id(0),
+          net::MacAddress::from_host_id(static_cast<std::uint32_t>(shape.hosts) + 1),
+          net::MacAddress({0x02, 0x01, 0, 0, 0, 1}),  // another prefix
+      };
+      int mismatches = 0;
+      for (int s = 0; s < fabric->num_switches(); ++s) {
+        const link::Switch& sw = fabric->fabric_switch(s);
+        for (int h = 0; h < shape.hosts; ++h) {
+          const int want = routes[static_cast<std::size_t>(s)][static_cast<std::size_t>(h)];
+          ASSERT_GE(want, 0) << where;
+          if (sw.lookup(fleet_mac(h)) != want) ++mismatches;
+        }
+        for (const net::MacAddress& mac : refused) {
+          EXPECT_EQ(sw.lookup(mac), -1) << where << ", " << sw.name() << ", "
+                                        << mac.to_string();
+        }
+      }
+      EXPECT_EQ(mismatches, 0) << where;
+      EXPECT_TRUE(fabric->all_hosts_routed()) << where;
+    }
+  }
+}
+
+// fleet_host_index inverts fleet_mac on the fabric's hosts and nowhere else.
+TEST(TopologyBuilder, FleetHostIndexInvertsFleetMac) {
+  for (int h = 0; h < 1024; ++h) EXPECT_EQ(fleet_host_index(fleet_mac(h), 1024), h);
+  EXPECT_EQ(fleet_host_index(fleet_mac(1024), 1024), -1);
+  EXPECT_EQ(fleet_host_index(fleet_mac(70000), 1024), -1);
+  EXPECT_EQ(fleet_host_index(fleet_mac(70000), 70001), 70000);  // id bytes past the third
+  EXPECT_EQ(fleet_host_index(net::MacAddress::from_host_id(0), 1024), -1);
+  EXPECT_EQ(fleet_host_index(net::MacAddress::broadcast(), 1024), -1);
+  EXPECT_EQ(fleet_host_index(net::MacAddress({0x03, 0x00, 0, 0, 0, 1}), 1024), -1);
 }
 
 // The Testbed preset must still wire the paper's Figure 1 exactly: four
@@ -236,9 +302,17 @@ TEST(TopologyBuilder, TestbedPresetKeepsLegacyWiring) {
           << fabric.host(i).name() << " -> " << fabric.host(j).name();
     }
   }
-  // The testbed switch keeps the classic learning/flooding behaviour.
-  EXPECT_TRUE(testbed.ethernet_switch().config().learning);
-  EXPECT_TRUE(testbed.ethernet_switch().config().flood_unknown);
+  // The testbed switch keeps the classic learning switch: once every host
+  // has sent a frame it holds all four, each on its own port.
+  for (int i = 0; i < fabric.num_hosts(); ++i) {
+    apps::PingClient ping(fabric.host(i), fabric.host((i + 1) % 4).ip());
+    ping.run(1, [](apps::PingResult) {}, sim::Duration::milliseconds(10));
+    sim.run_for(sim::Duration::milliseconds(20));
+  }
+  link::Switch& sw = testbed.ethernet_switch();
+  EXPECT_GT(sw.fib_memory_bytes(), 0u);
+  EXPECT_EQ(sw.fib_size(), 4u);
+  for (int i = 0; i < fabric.num_hosts(); ++i) EXPECT_EQ(sw.lookup(fabric.host(i).mac()), i);
 }
 
 // The attacker crafts its flood frames itself; their destination MAC comes

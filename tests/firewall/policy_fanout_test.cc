@@ -226,7 +226,7 @@ TEST(PolicyFanout, PolicyLargerThanSendBufferArrives) {
 
   const std::string text = sized_policy(6000, fleet.fabric->host(kServerHost).ip());
   fleet.server->set_policy_all(fleet.agent_ips, text);
-  EXPECT_GT(fleet.server->stats().push_bytes, stack::TcpConfig{}.send_buffer_cap);
+  EXPECT_GT(fleet.server->stats().push_bytes, stack::kTcpSendBufferBytes);
   fleet.sim.run_for(sim::Duration::seconds(2));
 
   EXPECT_EQ(fleet.server->count_acked_at_least(1), 1u);

@@ -1245,7 +1245,7 @@ void run_fabric_scenario(const FabricScenario& s, std::uint64_t seed,
   auto fabric = build_fabric(sim, s);
 
   if (!fabric->all_hosts_routed()) {
-    fail("fabric: a switch is missing a preloaded route to some host (" +
+    fail("fabric: a switch does not route to some host (" +
          std::string(s.tree ? "tree" : "leaf-spine") + " hosts=" +
          std::to_string(s.hosts) + ")");
   }

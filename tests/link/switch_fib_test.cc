@@ -1,6 +1,6 @@
-// The bounded open-addressing FIB: capacity bound under spoofed floods,
-// eviction accounting, pinned-route protection, aging, and the no-flood
-// fabric mode.
+// The learning switch's bounded open-addressing FIB (capacity bound under
+// spoofed floods, eviction accounting, aging), and the routed switch, which
+// holds no FIB at all.
 #include "link/switch.h"
 
 #include <gtest/gtest.h>
@@ -20,14 +20,16 @@ struct CollectorSink : FrameSink {
   void deliver(net::Packet pkt) override { received.push_back(std::move(pkt)); }
 };
 
-net::Packet frame_between(std::uint32_t src_id, std::uint32_t dst_id) {
+net::Packet frame_between(std::uint32_t src_id, std::uint32_t dst_id,
+                          bool broadcast = false) {
   net::IpEndpoints ep;
   ep.src_ip = net::Ipv4Address(10, 0, static_cast<std::uint8_t>(src_id >> 8),
                                static_cast<std::uint8_t>(src_id));
   ep.dst_ip = net::Ipv4Address(10, 0, static_cast<std::uint8_t>(dst_id >> 8),
                                static_cast<std::uint8_t>(dst_id));
   ep.src_mac = net::MacAddress::from_host_id(src_id);
-  ep.dst_mac = net::MacAddress::from_host_id(dst_id);
+  ep.dst_mac = broadcast ? net::MacAddress::broadcast()
+                         : net::MacAddress::from_host_id(dst_id);
   const std::uint8_t payload[] = {1, 2, 3};
   return net::Packet{net::build_udp_frame(ep, 1000, 2000, payload),
                      sim::TimePoint::origin(), 0};
@@ -39,8 +41,8 @@ struct FibFixture {
   std::vector<std::unique_ptr<Link>> links;
   std::vector<CollectorSink> sinks{2};
 
-  explicit FibFixture(SwitchConfig config) {
-    sw = std::make_unique<Switch>(sim, "sw", config);
+  explicit FibFixture(SwitchConfig config, Switch::Route route = {}) {
+    sw = std::make_unique<Switch>(sim, "sw", config, std::move(route));
     for (int i = 0; i < 2; ++i) {
       links.push_back(std::make_unique<Link>(sim));
       links.back()->a().connect_sink(&sinks[static_cast<std::size_t>(i)]);
@@ -85,74 +87,55 @@ TEST(SwitchFib, EvictionReplacesStalestInProbeWindow) {
   EXPECT_EQ(f.sw->lookup(net::MacAddress::from_host_id(200)), 0);
 }
 
-TEST(SwitchFib, PinnedEntriesSurviveEvictionPressure) {
-  SwitchConfig config;
-  config.fib_capacity = 16;
-  FibFixture f(config);
-
-  const auto pinned_mac = net::MacAddress::from_host_id(7777);
-  ASSERT_TRUE(f.sw->preload(pinned_mac, 1));
-
-  for (std::uint32_t src = 1; src <= 500; ++src) {
-    f.inject(0, frame_between(src, 60000));
-    f.sim.run();
-  }
-  EXPECT_GT(f.sw->stats().fib_evictions, 0u);
-  EXPECT_EQ(f.sw->lookup(pinned_mac), 1);
-}
-
-TEST(SwitchFib, LearnedEntriesAgeOutPinnedDoNot) {
+TEST(SwitchFib, LearnedEntriesAgeOut) {
   SwitchConfig config;
   config.mac_table_aging = sim::Duration::seconds(1);
   FibFixture f(config);
 
-  const auto pinned_mac = net::MacAddress::from_host_id(9999);
-  ASSERT_TRUE(f.sw->preload(pinned_mac, 1));
   f.inject(0, frame_between(42, 60000));
   f.sim.run();
   EXPECT_EQ(f.sw->lookup(net::MacAddress::from_host_id(42)), 0);
 
   f.sim.run_until(f.sim.now() + sim::Duration::seconds(2));
   EXPECT_EQ(f.sw->lookup(net::MacAddress::from_host_id(42)), -1);
-  EXPECT_EQ(f.sw->lookup(pinned_mac), 1);
 }
 
-TEST(SwitchFib, NoFloodModeDropsUnknownDestinations) {
-  SwitchConfig config;
-  config.learning = false;
-  config.flood_unknown = false;
-  FibFixture f(config);
+// A routed switch forwards where its route says and nowhere else: it never
+// learns, never floods and holds no FIB, whatever sources it sees.
+TEST(SwitchFib, RoutedSwitchForwardsOnlyWhereRouteSays) {
+  FibFixture f(SwitchConfig{}, [](const net::MacAddress& dst) {
+    return dst == net::MacAddress::from_host_id(2) ? 1 : -1;
+  });
+  EXPECT_EQ(f.sw->fib_size(), 0u);
+  EXPECT_EQ(f.sw->fib_memory_bytes(), 0u);
 
-  f.inject(0, frame_between(1, 2));  // destination not preloaded
+  f.inject(0, frame_between(1, 3));  // the route refuses MAC 3
   f.sim.run();
   EXPECT_EQ(f.sinks[1].received.size(), 0u);
   EXPECT_EQ(f.sw->stats().no_route_drops, 1u);
-  // Learning off: the source was not recorded either.
-  EXPECT_EQ(f.sw->lookup(net::MacAddress::from_host_id(1)), -1);
 
-  // With a preloaded route the same frame forwards.
-  ASSERT_TRUE(f.sw->preload(net::MacAddress::from_host_id(2), 1));
-  f.inject(0, frame_between(1, 2));
+  f.inject(0, frame_between(1, 0, /*broadcast=*/true));  // dropped, not flooded
+  f.sim.run();
+  EXPECT_EQ(f.sinks[1].received.size(), 0u);
+  EXPECT_EQ(f.sw->stats().no_route_drops, 2u);
+  EXPECT_EQ(f.sw->stats().flooded, 0u);
+
+  f.inject(0, frame_between(1, 2));  // routed
   f.sim.run();
   EXPECT_EQ(f.sinks[1].received.size(), 1u);
   EXPECT_EQ(f.sw->stats().forwarded, 1u);
-}
+  EXPECT_EQ(f.sw->lookup(net::MacAddress::from_host_id(2)), 1);
 
-TEST(SwitchFib, PreloadFailsOnlyWhenProbeWindowFullOfPins) {
-  SwitchConfig config;
-  config.fib_capacity = 16;
-  FibFixture f(config);
-  // Saturate the table with pins; at some point a probe window fills and
-  // preload must report failure instead of evicting a pinned route.
-  bool saw_failure = false;
-  for (std::uint32_t id = 1; id <= 32; ++id) {
-    if (!f.sw->preload(net::MacAddress::from_host_id(id), 0)) {
-      saw_failure = true;
-      break;
-    }
+  // Spoofed sources teach it nothing: lookups still come from the route.
+  for (std::uint32_t src = 100; src < 200; ++src) {
+    f.inject(1, frame_between(src, 3));
+    f.sim.run();
   }
-  EXPECT_TRUE(saw_failure);
-  EXPECT_LE(f.sw->fib_size(), 16u);
+  EXPECT_EQ(f.sw->lookup(net::MacAddress::from_host_id(150)), -1);
+  EXPECT_EQ(f.sw->fib_size(), 0u);
+  EXPECT_EQ(f.sw->fib_memory_bytes(), 0u);
+  EXPECT_EQ(f.sw->stats().fib_evictions, 0u);
+  EXPECT_EQ(f.sw->stats().no_route_drops, 102u);
 }
 
 }  // namespace

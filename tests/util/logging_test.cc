@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 namespace barb {
 namespace {
 
@@ -36,6 +38,20 @@ TEST(Logger, MacrosCompileAndRespectLevel) {
   BARB_INFO("info");
   BARB_WARN("warn");
   logger.set_level(saved);
+}
+
+// A line is the level and the message: no source path or line number, so
+// output does not depend on the checkout or on edits near the call site.
+TEST(Logger, LineIsLevelAndMessageOnly) {
+  auto& logger = Logger::instance();
+  const auto saved = logger.level();
+  logger.set_level(LogLevel::kWarn);
+  testing::internal::CaptureStderr();
+  BARB_WARN("%s: lockup after %d frames", "target/EFW", 7);
+  BARB_INFO("below the level");
+  const std::string out = testing::internal::GetCapturedStderr();
+  logger.set_level(saved);
+  EXPECT_EQ(out, "[WARN] target/EFW: lockup after 7 frames\n");
 }
 
 }  // namespace
