@@ -207,7 +207,7 @@ TEST(TopologyBuilder, FleetMetricsRegisterAndSample) {
   EXPECT_GT(registry.value("mem.per_host_bytes"), 0.0);
   EXPECT_GT(registry.value("mem.total_bytes"), 0.0);
   EXPECT_EQ(registry.value("mem.switch_fib_bytes"), 0.0);
-  for (const std::string sw : {"switch=spine0", "switch=spine1", "switch=leaf0"}) {
+  for (const char* sw : {"switch=spine0", "switch=spine1", "switch=leaf0"}) {
     EXPECT_EQ(registry.value("switch.fib_entries", sw), 0.0) << sw;
     EXPECT_EQ(registry.value("switch.fib_bytes", sw), 0.0) << sw;
   }
